@@ -29,7 +29,7 @@ from .calibration import (
 )
 from .core import LabeledSample, classify, discriminant_score, pooled_summary
 from .dataio import RunManifest, format_table_value, read_matrix_csv, write_text_atomic
-from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS
+from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS, limit_values
 from .estimators import estimate_all
 from .exceptions import (
     CalibrationInfeasibleError,
@@ -71,16 +71,16 @@ def _load_training(args) -> tuple:
     return pooled_summary(s1, s2)
 
 
-def _request_from_args(args) -> CutoffRequest:
-    if args.method == "m1":
-        if args.alpha is None:
+def _request_from_args(method: str, alpha, eu, beta) -> CutoffRequest:
+    if method == "m1":
+        if alpha is None:
             raise UsageError("--alpha is required for method m1")
-        return CutoffRequest.m1(args.alpha)
-    if args.eu is None or args.beta is None:
-        raise UsageError(f"--eu and --beta are required for method {args.method}")
-    if args.method == "m2-normal":
-        return CutoffRequest.m2_normal(args.eu, args.beta)
-    return CutoffRequest.m2_logit(args.eu, args.beta)
+        return CutoffRequest.m1(alpha)
+    if eu is None or beta is None:
+        raise UsageError(f"--eu and --beta are required for method {method}")
+    if method == "m2-normal":
+        return CutoffRequest.m2_normal(eu, beta)
+    return CutoffRequest.m2_logit(eu, beta)
 
 
 class UsageError(Exception):
@@ -94,7 +94,7 @@ class UsageError(Exception):
 def cmd_estimate(args) -> int:
     summary = _load_training(args)
     traces, deltas = estimate_all(summary)
-    n1, n2, p = summary.n1, summary.n2, summary.p
+    u0, v0 = limit_values(deltas.d0, deltas.d1, traces.a2, summary.dims)
     values = {
         "a1": traces.a1,
         "a2": traces.a2,
@@ -104,11 +104,11 @@ def cmd_estimate(args) -> int:
         "delta1": deltas.d1,
         "delta2": deltas.d2,
         "delta3": deltas.d3,
-        "u0": -deltas.d0 / 2.0,
-        "v0": deltas.d1 + (n1 + n2) * p * traces.a2 / (n1 * n2),
-        "n1": n1,
-        "n2": n2,
-        "p": p,
+        "u0": u0,
+        "v0": v0,
+        "n1": summary.n1,
+        "n2": summary.n2,
+        "p": summary.p,
         "n": summary.n,
     }
     if args.format == "csv":
@@ -126,12 +126,12 @@ def cmd_estimate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     summary = _load_training(args)
-    request = _request_from_args(args)
+    request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
     traces, deltas = estimate_all(summary)
     outcome = calibrate(
         traces,
         deltas,
-        dims=_dims_of(summary),
+        dims=summary.dims,
         request=request,
         logit_variance=args.logit_variance,
         anchor=args.anchor,
@@ -154,12 +154,6 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _dims_of(summary):
-    from .error_model import Dims
-
-    return Dims(n1=summary.n1, n2=summary.n2, p=summary.p)
-
-
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -172,12 +166,12 @@ def cmd_classify(args) -> int:
     elif args.method is None:
         raise UsageError("classify needs either --cutoff or --method with its parameters")
     else:
-        request = _request_from_args(args)
+        request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
         traces, deltas = estimate_all(summary)
         c = calibrate(
             traces,
             deltas,
-            dims=_dims_of(summary),
+            dims=summary.dims,
             request=request,
             logit_variance=args.logit_variance,
             anchor=args.anchor,
@@ -256,17 +250,9 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"simulate needs --{required.replace('_', '-')}")
     if settings["reps"] < 1:
         raise UsageError("--reps must be positive")
-    method = settings["method"]
-
-    class _Shim:
-        pass
-
-    shim = _Shim()
-    shim.method = method
-    shim.alpha = settings.get("alpha")
-    shim.eu = settings.get("eu")
-    shim.beta = settings.get("beta")
-    request = _request_from_args(shim)
+    request = _request_from_args(
+        settings["method"], settings.get("alpha"), settings.get("eu"), settings.get("beta")
+    )
 
     if "n1" in settings or "n2" in settings:
         if not ("n1" in settings and "n2" in settings):

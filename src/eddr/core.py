@@ -122,34 +122,71 @@ class LabeledSample:
         return self.observations.shape[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _power_stats(a: np.ndarray, v: np.ndarray) -> tuple:
+    """tr(a^k) for k = 1..4, then v' a^k v for k = 0..3, for a symmetric ``a``.
+
+    One product ``a @ a`` (a symmetric rank update, since ``a`` equals its
+    transpose) plus matrix-vector products.  A power that overflows double
+    precision comes out infinite or NaN; the estimators reject it, while
+    the rule itself needs only ``tr a``.
+    """
+    a2 = a @ a.T
+    av = a @ v
+    return (np.trace(a), np.vdot(a, a), np.vdot(a2, a), np.vdot(a2, a2),
+            v @ v, v @ av, av @ av, av @ (a @ av))
+
+
 @dataclass(frozen=True)
 class TwoSampleSummary:
     """Sufficient statistics of the two training samples.
 
-    ``s`` is the pooled covariance with divisor ``n = n1 + n2 - 2``.  It may
-    be singular when p > n; nothing downstream inverts it.
+    With ``S`` the pooled covariance (divisor ``n = n1 + n2 - 2``) and
+    ``d = xbar1 - xbar2``, the summary holds ``t_k = tr(S^k)`` for
+    k = 1..4 and ``q_k = d' S^k d`` for k = 0..3: everything the
+    estimators, the calibration and the rule need.  ``S`` itself is never
+    stored; :func:`pooled_summary` builds a summary from data and
+    :meth:`from_covariance` from a user-supplied ``S``.
     """
 
     xbar1: np.ndarray
     xbar2: np.ndarray
-    s: np.ndarray
     n1: int
     n2: int
+    t1: float
+    t2: float
+    t3: float
+    t4: float
+    q0: float
+    q1: float
+    q2: float
+    q3: float
 
     def __post_init__(self):
         x1 = _as_vector(self.xbar1, "xbar1")
         x2 = _as_vector(self.xbar2, "xbar2")
-        s = _as_matrix(self.s, "s")
         object.__setattr__(self, "xbar1", x1)
         object.__setattr__(self, "xbar2", x2)
-        object.__setattr__(self, "s", s)
-        p = x1.shape[0]
-        if x2.shape[0] != p or s.shape != (p, p):
-            raise DimensionError("xbar1, xbar2 and s disagree on dimension")
+        if x2.shape[0] != x1.shape[0]:
+            raise DimensionError("xbar1 and xbar2 disagree on dimension")
         if self.n < 1:
             raise DimensionError("need n = n1 + n2 - 2 >= 1")
+
+    @classmethod
+    def from_covariance(cls, xbar1, xbar2, s, n1: int, n2: int) -> "TwoSampleSummary":
+        """Summary of a user-supplied pooled covariance ``s``.
+
+        ``s`` must be symmetric and positive semidefinite; it may be
+        singular when p > n, since nothing downstream inverts it.
+        """
+        x1 = _as_vector(xbar1, "xbar1")
+        x2 = _as_vector(xbar2, "xbar2")
+        s = _as_matrix(s, "s")
+        if x2.shape != x1.shape or s.shape != (x1.shape[0], x1.shape[0]):
+            raise DimensionError("xbar1, xbar2 and s disagree on dimension")
         _check_symmetric(s, "s")
         _check_psd(s, "s")
+        return cls(x1, x2, n1, n2, *_power_stats(s, x1 - x2))
 
     @property
     def p(self) -> int:
@@ -162,6 +199,10 @@ class TwoSampleSummary:
     @property
     def n_total(self) -> int:
         return self.n1 + self.n2
+
+    @property
+    def dims(self) -> Dims:
+        return Dims(n1=self.n1, n2=self.n2, p=self.p)
 
     @property
     def mean_diff(self) -> np.ndarray:
@@ -192,22 +233,32 @@ class NormalParams:
 
 
 def pooled_summary(s1: LabeledSample, s2: LabeledSample) -> TwoSampleSummary:
-    """Column means of both groups and their pooled covariance.
+    """Column means of both groups and the power statistics of their pooled covariance.
 
-    The pooled covariance sums both groups' centred scatter and divides by
-    ``n = N1 + N2 - 2``.
+    With ``C`` the stacked centred rows, ``S = C'C / n``.  ``S`` is never
+    formed when p > N: the statistics come from the N x N dual matrix
+    ``G = C C'`` (Yata & Aoshima, JMVA 105, 2012), whose powers share
+    their traces with those of ``C'C``, and with ``w = C d`` the forms are
+    ``q1 = |w|^2/n``, ``q2 = w'G w/n^2`` and ``q3 = |G w|^2/n^3``.  The
+    cost is O(N^2 p + N^3) then, and O(N p^2 + p^3) when p <= N.
     """
     if s1.p != s2.p:
         raise DimensionError(f"groups disagree on dimension: {s1.p} vs {s2.p}")
     x1, x2 = s1.observations, s2.observations
     xbar1 = x1.mean(axis=0)
     xbar2 = x2.mean(axis=0)
-    c1 = x1 - xbar1
-    c2 = x2 - xbar2
-    n = s1.n_obs + s2.n_obs - 2
-    s = (c1.T @ c1 + c2.T @ c2) / n
-    s = (s + s.T) / 2.0
-    return TwoSampleSummary(xbar1=xbar1, xbar2=xbar2, s=s, n1=s1.n_obs, n2=s2.n_obs)
+    d = xbar1 - xbar2
+    # C / sqrt(n), centred and scaled in place: C'C / n = S and C C' / n = G / n
+    c = np.vstack([x1, x2])
+    c[: s1.n_obs] -= xbar1
+    c[s1.n_obs :] -= xbar2
+    c /= math.sqrt(c.shape[0] - 2)
+    if s1.p <= c.shape[0]:
+        stats = _power_stats(c.T @ c, d)
+    else:
+        t1, t2, t3, t4, q1, q2, q3, _ = _power_stats(c @ c.T, c @ d)
+        stats = (t1, t2, t3, t4, d @ d, q1, q2, q3)
+    return TwoSampleSummary(xbar1, xbar2, s1.n_obs, s2.n_obs, *stats)
 
 
 def oracle_score(x, params1: NormalParams, params2: NormalParams) -> float:
@@ -223,7 +274,7 @@ def oracle_score(x, params1: NormalParams, params2: NormalParams) -> float:
 def discriminant_score(x, summary: TwoSampleSummary) -> float:
     """Bias-corrected sample discriminant score.
 
-    |x-xbar2|^2 - |x-xbar1|^2 - (n1-n2)/(n1*n2) * tr(s); the correction
+    |x-xbar2|^2 - |x-xbar1|^2 - (n1-n2)/(n1*n2) * tr(S); the correction
     vanishes exactly for balanced designs.
     """
     x = _as_vector(x, "x")
@@ -232,7 +283,7 @@ def discriminant_score(x, summary: TwoSampleSummary) -> float:
     d2 = x - summary.xbar2
     d1 = x - summary.xbar1
     n1, n2 = summary.n1, summary.n2
-    bias = 0.0 if n1 == n2 else (n1 - n2) / (n1 * n2) * float(np.trace(summary.s))
+    bias = 0.0 if n1 == n2 else (n1 - n2) / (n1 * n2) * float(summary.t1)
     return float(d2 @ d2 - d1 @ d1) - bias
 
 

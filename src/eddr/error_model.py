@@ -94,12 +94,17 @@ class AsymptoticLaw:
     logit_variance: str = DEFAULT_LOGIT_VARIANCE
 
 
+def limit_values(d0: float, d1: float, a2: float, dims: Dims) -> tuple[float, float]:
+    """Unvalidated plug-in limits u0 = -d0/2 and v0 = d1 + N p a2/(n1 n2)."""
+    u0 = -d0 / 2.0
+    v0 = d1 + dims.n_total * dims.p * a2 / (dims.n1 * dims.n2)
+    return float(u0), float(v0)
+
+
 def limit_params(d: DeltaEstimates, t: TraceEstimates, dims: Dims) -> LimitParams:
-    """u0 = -d0/2 and v0 = d1 + N p a2/(n1 n2); rejects v0 <= 0."""
-    n1, n2, p = dims.n1, dims.n2, dims.p
-    u0 = -d.d0 / 2.0
-    v0 = d.d1 + dims.n_total * p * t.a2 / (n1 * n2)
-    return LimitParams(u0=float(u0), v0=float(v0), dims=dims)
+    """:func:`limit_values` from the estimates; rejects v0 <= 0."""
+    u0, v0 = limit_values(d.d0, d.d1, t.a2, dims)
+    return LimitParams(u0=u0, v0=v0, dims=dims)
 
 
 def expected_error(lp: LimitParams, c: float) -> float:
@@ -143,7 +148,7 @@ def estimator_covariance(d: DeltaEstimates, t: TraceEstimates, dims: Dims) -> np
     """
     vu = var_delta0(dims, d.d1, t.a2) / 4.0
     vv = var_delta1(dims, d.d1, d.d3, t.a2, t.a4)
-    cross = -cov_delta01(dims, d.d2, t.a4) / 2.0
+    cross = -cov_delta01(dims, d.d2, t.a3) / 2.0
     return np.array([[vu, cross], [cross, vv]])
 
 
@@ -158,8 +163,8 @@ def asymptotic_law(
     """Normal law of the conditional error at cut-off ``c``.
 
     Raises :class:`CalibrationInfeasibleError` when the plug-in covariance
-    is indefinite enough to make tau2 negative, or when e0 degenerates to
-    0 or 1 in floating point.
+    is indefinite enough to make tau2 negative, when tau2 is NaN, or when
+    e0 degenerates to 0 or 1 in floating point.
     """
     if logit_variance not in LOGIT_VARIANCE_CONVENTIONS:
         raise ValueError(f"unknown logit variance convention {logit_variance!r}")
@@ -178,9 +183,9 @@ def asymptotic_law(
     else:
         theta = estimator_covariance(d, t, dims)
     tau2 = float(grad @ theta @ grad)
-    if tau2 < 0.0:
+    if not tau2 >= 0.0:
         raise CalibrationInfeasibleError(
-            f"plug-in variance of the conditional error is negative ({tau2:g})"
+            f"plug-in variance of the conditional error is negative or NaN ({tau2:g})"
         )
     ell0 = math.log(e0 / (1.0 - e0))
     spread = (1.0 - e0) * e0

@@ -17,17 +17,21 @@ rather than have them silently clamped here.
 
 The ``*_from_traces`` kernels operate on plain scalars (or numpy arrays,
 elementwise) so that batched Monte Carlo checks can reuse them; the
-public ``*_hat`` functions take a summary and match the formulas above.
+public ``*_hat`` functions apply them to the power statistics a summary
+holds (see :class:`~eddr.core.TwoSampleSummary`) and raise
+:class:`~eddr.exceptions.CalibrationInfeasibleError` when the result is
+not finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TwoSampleSummary
-from .exceptions import DimensionError
+from .exceptions import CalibrationInfeasibleError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -124,74 +128,58 @@ def delta3_from_stats(q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p, literal_squared=
 # summary-based operations
 # ---------------------------------------------------------------------------
 
-def _trace_power_stats(summary: TwoSampleSummary):
-    """(t1, t2, t3, t4, q0, q1, q2, q3) with a single p x p matrix product."""
-    s = summary.s
-    d = summary.mean_diff
-    s2 = s @ s
-    t1 = float(np.trace(s))
-    t2 = float(np.vdot(s, s))
-    t3 = float(np.vdot(s2, s))
-    t4 = float(np.vdot(s2, s2))
-    sd = s @ d
-    q0 = float(d @ d)
-    q1 = float(d @ sd)
-    q2 = float(sd @ sd)
-    q3 = float(sd @ (s @ sd))
-    return t1, t2, t3, t4, q0, q1, q2, q3
+def _finite(name: str, value) -> float:
+    """``value`` as a float; a statistic that overflowed double precision raises."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise CalibrationInfeasibleError(
+            f"estimate {name} is not finite ({value}): the data overflow double precision"
+        )
+    return value
 
 
 def a1_hat(summary: TwoSampleSummary) -> float:
     """tr(S)/p."""
-    return float(np.trace(summary.s)) / summary.p
+    return _finite("a1", a1_from_traces(summary.t1, summary.p))
 
 
 def a2_hat(summary: TwoSampleSummary) -> float:
     """Unbiased estimate of tr(Sigma^2)/p from tr(S^2) and (tr S)^2."""
     _require_n(summary.n, 2, "a2_hat")
-    t1 = float(np.trace(summary.s))
-    t2 = float(np.vdot(summary.s, summary.s))
-    return float(a2_from_traces(t1, t2, summary.n, summary.p))
+    return _finite("a2", a2_from_traces(summary.t1, summary.t2, summary.n, summary.p))
 
 
 def a3_hat(summary: TwoSampleSummary) -> float:
     """Estimate of tr(Sigma^3)/p from traces of the first three powers of S."""
     _require_n(summary.n, 5, "a3_hat")
-    t1, t2, t3, _, *_ = _trace_power_stats(summary)
-    return float(a3_from_traces(t1, t2, t3, summary.n, summary.p))
+    s = summary
+    return _finite("a3", a3_from_traces(s.t1, s.t2, s.t3, s.n, s.p))
 
 
 def a4_hat(summary: TwoSampleSummary) -> float:
     """Estimate of tr(Sigma^4)/p from traces of the first four powers of S."""
     _require_n(summary.n, 7, "a4_hat")
-    t1, t2, t3, t4, *_ = _trace_power_stats(summary)
-    return float(a4_from_traces(t1, t2, t3, t4, summary.n, summary.p))
+    s = summary
+    return _finite("a4", a4_from_traces(s.t1, s.t2, s.t3, s.t4, s.n, s.p))
 
 
 def delta0_hat(summary: TwoSampleSummary) -> float:
     """Estimate of |mu1-mu2|^2: |xbar1-xbar2|^2 minus its sampling inflation."""
-    d = summary.mean_diff
-    return float(delta0_from_stats(d @ d, a1_hat(summary), summary.n1, summary.n2, summary.p))
+    s = summary
+    return _finite("delta0", delta0_from_stats(s.q0, a1_hat(s), s.n1, s.n2, s.p))
 
 
 def delta1_hat(summary: TwoSampleSummary) -> float:
     """Estimate of delta' Sigma delta, re-centred with the a2 estimate."""
-    d = summary.mean_diff
-    q1 = float(d @ (summary.s @ d))
-    return float(delta1_from_stats(q1, a2_hat(summary), summary.n1, summary.n2, summary.p))
+    s = summary
+    return _finite("delta1", delta1_from_stats(s.q1, a2_hat(s), s.n1, s.n2, s.p))
 
 
 def delta2_hat(summary: TwoSampleSummary, traces: TraceEstimates, d1: float) -> float:
     """Estimate of delta' Sigma^2 delta given the trace estimates and d1."""
     _require_n(summary.n, 5, "delta2_hat")
-    d = summary.mean_diff
-    sd = summary.s @ d
-    q2 = float(sd @ sd)
-    return float(
-        delta2_from_stats(
-            q2, d1, traces.a1, traces.a2, traces.a3, summary.n, summary.n1, summary.n2, summary.p
-        )
-    )
+    s, t = summary, traces
+    return _finite("delta2", delta2_from_stats(s.q2, d1, t.a1, t.a2, t.a3, s.n, s.n1, s.n2, s.p))
 
 
 def delta3_hat(
@@ -209,34 +197,24 @@ def delta3_hat(
     under data scaling.
     """
     _require_n(summary.n, 7, "delta3_hat")
-    d = summary.mean_diff
-    sd = summary.s @ d
-    q3 = float(sd @ (summary.s @ sd))
-    return float(
-        delta3_from_stats(
-            q3, d1, d2, traces.a1, traces.a2, traces.a3, traces.a4,
-            summary.n, summary.n1, summary.n2, summary.p,
-            literal_squared=literal_squared,
-        )
-    )
+    s, t = summary, traces
+    return _finite("delta3", delta3_from_stats(
+        s.q3, d1, d2, t.a1, t.a2, t.a3, t.a4, s.n, s.n1, s.n2, s.p,
+        literal_squared=literal_squared,
+    ))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_all(summary: TwoSampleSummary, literal_squared: bool = False):
-    """All eight estimates, sharing one S @ S product.
+    """All eight estimates from the summary's power statistics.
 
-    Returns ``(TraceEstimates, DeltaEstimates)``.
+    Returns ``(TraceEstimates, DeltaEstimates)``; raises
+    :class:`CalibrationInfeasibleError` if an estimate is not finite.
     """
     _require_n(summary.n, 7, "estimate_all")
-    n, p, n1, n2 = summary.n, summary.p, summary.n1, summary.n2
-    t1, t2, t3, t4, q0, q1, q2, q3 = _trace_power_stats(summary)
-    a1 = a1_from_traces(t1, p)
-    a2 = a2_from_traces(t1, t2, n, p)
-    a3 = a3_from_traces(t1, t2, t3, n, p)
-    a4 = a4_from_traces(t1, t2, t3, t4, n, p)
-    d0 = delta0_from_stats(q0, a1, n1, n2, p)
-    d1 = delta1_from_stats(q1, a2, n1, n2, p)
-    d2 = delta2_from_stats(q2, d1, a1, a2, a3, n, n1, n2, p)
-    d3 = delta3_from_stats(q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p, literal_squared=literal_squared)
-    traces = TraceEstimates(a1=float(a1), a2=float(a2), a3=float(a3), a4=float(a4), p=p, n=n)
-    deltas = DeltaEstimates(d0=float(d0), d1=float(d1), d2=float(d2), d3=float(d3))
-    return traces, deltas
+    traces = TraceEstimates(a1=a1_hat(summary), a2=a2_hat(summary), a3=a3_hat(summary),
+                            a4=a4_hat(summary), p=summary.p, n=summary.n)
+    d1 = delta1_hat(summary)
+    d2 = delta2_hat(summary, traces, d1)
+    d3 = delta3_hat(summary, traces, d1, d2, literal_squared=literal_squared)
+    return traces, DeltaEstimates(d0=delta0_hat(summary), d1=d1, d2=d2, d3=d3)

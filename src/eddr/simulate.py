@@ -28,26 +28,26 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg import toeplitz
 
 from .calibration import (
-    DEFAULT_LOGIT_SPREAD,
     DEFAULT_M2_ANCHOR,
     CutoffRequest,
     CutoffVariant,
     calibrate,
     m1_cutoff,
 )
-from .core import Dims, LabeledSample, cholesky, pooled_summary, std_normal_cdf, sym_sqrt
-from .error_model import DEFAULT_LOGIT_VARIANCE, LimitParams
-from .estimators import (
-    a1_from_traces,
-    a2_from_traces,
-    delta0_from_stats,
-    delta1_from_stats,
-    estimate_all,
+from .core import (
+    Dims,
+    LabeledSample,
+    TwoSampleSummary,
+    cholesky,
+    pooled_summary,
+    std_normal_cdf,
+    sym_sqrt,
 )
+from .error_model import DEFAULT_LOGIT_VARIANCE, LimitParams, limit_values
+from .estimators import a1_hat, a2_hat, delta0_hat, delta1_hat, estimate_all
 from .exceptions import CalibrationInfeasibleError, DimensionError, SimulationError
 
 #: Separation between the group means on the squared-distance scale used
@@ -74,8 +74,6 @@ class SimConfig:
     workers: int = 1
     logit_variance: str = DEFAULT_LOGIT_VARIANCE
     anchor: str = DEFAULT_M2_ANCHOR
-    theta_source: str = "estimator"
-    logit_spread: str = DEFAULT_LOGIT_SPREAD
 
     def __post_init__(self):
         if self.p < 1 or self.n1 < 2 or self.n2 < 2:
@@ -152,17 +150,11 @@ class PopulationDesign:
     mu2: np.ndarray
     sigma: np.ndarray
     chol: np.ndarray
-    chol_sparse: object = None  # scipy CSR copy when the factor is mostly zeros
 
     @classmethod
     def from_sigma(cls, sigma, mu1, mu2) -> "PopulationDesign":
-        chol = cholesky(sigma)
-        sparse = None
-        density = np.count_nonzero(chol) / chol.size
-        if density < 0.25:
-            sparse = scipy.sparse.csr_matrix(chol)
         return cls(mu1=np.asarray(mu1, float), mu2=np.asarray(mu2, float),
-                   sigma=np.asarray(sigma, float), chol=chol, chol_sparse=sparse)
+                   sigma=np.asarray(sigma, float), chol=cholesky(sigma))
 
     @classmethod
     def from_params(cls, params1, params2) -> "PopulationDesign":
@@ -179,8 +171,6 @@ class PopulationDesign:
 
     def sample_group(self, mu: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((rows, self.p))
-        if self.chol_sparse is not None:
-            return (self.chol_sparse @ z.T).T + mu
         return z @ self.chol.T + mu
 
 
@@ -209,19 +199,12 @@ class ErrorInputs(NamedTuple):
         return self.u + self.bias
 
 
-def error_inputs(x1: np.ndarray, x2: np.ndarray, pop: PopulationDesign) -> ErrorInputs:
+def error_inputs(summary: TwoSampleSummary, pop: PopulationDesign) -> ErrorInputs:
     """U, V and the trace estimate entering the conditional-error formula."""
-    n1, n2 = x1.shape[0], x2.shape[0]
-    p = pop.p
-    xbar1 = x1.mean(axis=0)
-    xbar2 = x2.mean(axis=0)
-    d = xbar1 - xbar2
-    u = float(d @ (xbar1 - pop.mu1)) - 0.5 * float(d @ d)
+    d = summary.mean_diff
+    u = float(d @ (summary.xbar1 - pop.mu1)) - 0.5 * float(summary.q0)
     v = float(d @ (pop.sigma @ d))
-    c1 = x1 - xbar1
-    c2 = x2 - xbar2
-    t1 = (float(np.vdot(c1, c1)) + float(np.vdot(c2, c2))) / (n1 + n2 - 2)
-    return ErrorInputs(u=u, v=v, a1=t1 / p, n1=n1, n2=n2, p=p)
+    return ErrorInputs(u=u, v=v, a1=a1_hat(summary), n1=summary.n1, n2=summary.n2, p=summary.p)
 
 
 def conditional_error(err: ErrorInputs, c: float) -> float:
@@ -229,51 +212,25 @@ def conditional_error(err: ErrorInputs, c: float) -> float:
     return std_normal_cdf((err.u_tilde + c) / math.sqrt(err.v))
 
 
-def _m1_cutoff_fast(x1, x2, alpha: float) -> float:
-    """Expected-error cut-off without materializing the p x p covariance.
-
-    tr(S) and tr(S^2) come from Gram matrices of the centred rows, so the
-    per-trial cost stays O(N^2 p) even when p is large.
-    """
-    n1, n2 = x1.shape[0], x2.shape[0]
-    p = x1.shape[1]
-    n = n1 + n2 - 2
-    xbar1 = x1.mean(axis=0)
-    xbar2 = x2.mean(axis=0)
-    c1 = x1 - xbar1
-    c2 = x2 - xbar2
-    t1 = (float(np.vdot(c1, c1)) + float(np.vdot(c2, c2))) / n
-    g11 = c1 @ c1.T
-    g12 = c1 @ c2.T
-    g22 = c2 @ c2.T
-    t2 = (float(np.vdot(g11, g11)) + 2.0 * float(np.vdot(g12, g12)) + float(np.vdot(g22, g22))) / n**2
-    d = xbar1 - xbar2
-    q0 = float(d @ d)
-    q1 = (float(np.sum((c1 @ d) ** 2)) + float(np.sum((c2 @ d) ** 2))) / n
-    a1 = a1_from_traces(t1, p)
-    a2 = a2_from_traces(t1, t2, n, p)
-    d0 = delta0_from_stats(q0, a1, n1, n2, p)
-    d1 = delta1_from_stats(q1, a2, n1, n2, p)
-    lp = LimitParams(u0=-d0 / 2.0, v0=d1 + (n1 + n2) * p * a2 / (n1 * n2), dims=Dims(n1, n2, p))
-    return m1_cutoff(lp, alpha).c
-
-
 def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator) -> TrialRecord:
     """One full trial: sample, calibrate, and evaluate the conditional error.
 
-    Raises :class:`CalibrationInfeasibleError` when the drawn data do not
-    admit the requested cut-off; the driver counts such trials separately.
+    The expected-error (M1) cut-off needs only a2, delta0 and delta1, so
+    that arm skips the other estimates and their n >= 7 requirement.  Raises
+    :class:`CalibrationInfeasibleError` when the drawn data do not admit
+    the requested cut-off; the driver counts such trials separately.
     """
     x1 = pop.sample_group(pop.mu1, cfg.n1, rng)
     x2 = pop.sample_group(pop.mu2, cfg.n2, rng)
+    summary = pooled_summary(
+        LabeledSample(observations=x1, group=1),
+        LabeledSample(observations=x2, group=2),
+    )
     if cfg.request.variant == CutoffVariant.M1:
-        c = _m1_cutoff_fast(x1, x2, cfg.request.alpha)
+        u0, v0 = limit_values(delta0_hat(summary), delta1_hat(summary), a2_hat(summary), cfg.dims)
+        c = m1_cutoff(LimitParams(u0=u0, v0=v0, dims=cfg.dims), cfg.request.alpha).c
         fell_back = False
     else:
-        summary = pooled_summary(
-            LabeledSample(observations=x1, group=1),
-            LabeledSample(observations=x2, group=2),
-        )
         traces, deltas = estimate_all(summary)
         outcome = calibrate(
             traces,
@@ -282,12 +239,10 @@ def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator) -
             cfg.request,
             logit_variance=cfg.logit_variance,
             anchor=cfg.anchor,
-            theta_source=cfg.theta_source,
-            logit_spread=cfg.logit_spread,
         )
         c = outcome.result.c
         fell_back = outcome.result.fell_back
-    err = error_inputs(x1, x2, pop)
+    err = error_inputs(summary, pop)
     ce = conditional_error(err, c)
     # an extreme trial can underflow the error probability to 0.0 or 1.0 in
     # double precision; the mathematical value is strictly interior

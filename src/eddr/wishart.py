@@ -403,17 +403,18 @@ def var_delta1(dims: Dims, delta1: float, delta3: float, a2: float, a4: float) -
     )
 
 
-def cov_delta01(dims: Dims, delta2: float, a4: float) -> float:
-    """Leading covariance of the two known-spectrum quadratic estimators.
+def cov_delta01(dims: Dims, delta2: float, a3: float) -> float:
+    """Covariance of the two known-spectrum quadratic estimators.
 
-    For the mean difference d ~ N(delta, c Sigma) with c = N/(n1 n2), the
-    quadratic forms d'd and d'Sd have covariance 4 c delta_2 +
-    2 c^2 tr(Sigma S Sigma S) averaged over S, whose leading term is
-    2 c^2 p a4.
+    For the mean difference d ~ N(delta, c Sigma) with c = N/(n1 n2),
+    independent of S with E[S] = Sigma, the quadratic forms d'd and d'Sd
+    have conditional covariance 4 c delta' Sigma S delta +
+    2 c^2 tr(Sigma S Sigma); averaged over S, with E[tr(Sigma S Sigma)] =
+    tr(Sigma^3), that is 4 c delta_2 + 2 c^2 p a3.
     """
     n1, n2, p = dims.n1, dims.n2, dims.p
     n_tot = dims.n_total
-    return 4.0 * n_tot * delta2 / (n1 * n2) + 2.0 * n_tot**2 * p * a4 / (n1 * n2) ** 2
+    return 4.0 * n_tot * delta2 / (n1 * n2) + 2.0 * n_tot**2 * p * a3 / (n1 * n2) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 Poly = dict  # exponent tuple -> integer coefficient
 
 
@@ -198,3 +200,33 @@ def exact_trace_invariants(sigma, a, b):
         c1=itrace(powers[1]), c2=itrace(powers[2]), c3=itrace(powers[3]),
         c4=itrace(powers[4]), sa=sa, sb=sb, m=m,
     )
+
+
+# ---------------------------------------------------------------------------
+# p x p reference for the summary's power statistics
+# ---------------------------------------------------------------------------
+
+def pxp_pooled_covariance(x1, x2):
+    """Pooled covariance of two groups of rows, divisor n1 + n2 - 2, as a p x p matrix."""
+    c1 = x1 - x1.mean(axis=0)
+    c2 = x2 - x2.mean(axis=0)
+    s = (c1.T @ c1 + c2.T @ c2) / (x1.shape[0] + x2.shape[0] - 2)
+    return (s + s.T) / 2.0
+
+
+def pxp_power_stats(x1, x2):
+    """t_k = tr(S^k), k = 1..4, and q_k = d'S^k d, k = 0..3, through the p x p S."""
+    s = pxp_pooled_covariance(x1, x2)
+    d = x1.mean(axis=0) - x2.mean(axis=0)
+    s2 = s @ s
+    sd = s @ d
+    return {
+        "t1": float(np.trace(s)),
+        "t2": float(np.vdot(s, s)),
+        "t3": float(np.vdot(s2, s)),
+        "t4": float(np.vdot(s2, s2)),
+        "q0": float(d @ d),
+        "q1": float(d @ sd),
+        "q2": float(sd @ sd),
+        "q3": float(sd @ (s @ sd)),
+    }

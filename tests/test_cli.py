@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eddr
 from eddr.cli import main
 from eddr.core import LabeledSample, discriminant_score, pooled_summary
 
@@ -51,6 +54,7 @@ class TestEstimate:
         payload = json.loads(out)
         assert payload["a1"] == 0.0
         assert payload["a2"] == 0.0
+        assert payload["v0"] == 0.0  # printed as is; only calibration needs v0 > 0
 
     def test_csv_format(self, capsys, training_files):
         f1, f2, *_ = training_files
@@ -326,3 +330,44 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestScaledData:
+    """Rescaled training data: the law is scale-free, overflow is a typed error."""
+
+    @staticmethod
+    def scaled_files(tmp_path, x1, x2, scale):
+        paths = []
+        for name, x in (("scaled1.csv", x1), ("scaled2.csv", x2)):
+            path = tmp_path / name
+            np.savetxt(path, scale * x, delimiter=",")
+            paths.append(str(path))
+        return paths
+
+    def test_m2_law_is_scale_free(self, capsys, tmp_path, training_files):
+        _, _, x1, x2 = training_files
+        tau2 = []
+        for scale in (1.0, 1e20):
+            f1, f2 = self.scaled_files(tmp_path, x1, x2, scale)
+            code, out, err = run_cli(capsys, "calibrate", f1, f2, "--method", "m2-logit",
+                                     "--eu", "0.2", "--beta", "0.1")
+            assert code == 0, err
+            tau2.append(json.loads(out)["tau2"])
+        assert tau2[1] == pytest.approx(tau2[0], rel=1e-9)
+
+    @pytest.mark.parametrize("command", [
+        ["estimate"],
+        ["calibrate", "--method", "m1", "--alpha", "0.1"],
+    ])
+    def test_overflow_exits_3_without_traceback(self, tmp_path, rng, command):
+        # finite entries, but (tr S)^4 exceeds the double range at p = 40
+        x1 = rng.standard_normal((12, 40)) + 0.5
+        x2 = rng.standard_normal((12, 40))
+        f1, f2 = self.scaled_files(tmp_path, x1, x2, 1e38)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eddr.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "eddr.cli", command[0], f1, f2, *command[1:]],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "not finite" in proc.stderr

@@ -1,5 +1,7 @@
 """Summaries, scores, the decision rule, and scalar/matrix primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,10 @@ from eddr.core import (
 from eddr.exceptions import DimensionError, NotPositiveDefiniteError
 
 from conftest import random_orthogonal, random_spd
+from oracles import pxp_pooled_covariance, pxp_power_stats
+
+STATS = ("t1", "t2", "t3", "t4", "q0", "q1", "q2", "q3")
+from_cov = TwoSampleSummary.from_covariance
 
 # high-precision references (30-digit arithmetic)
 PHI_M125 = 0.105649773666855257688772764026
@@ -36,14 +42,17 @@ def summary_of(x1, x2):
 class TestPooledSummary:
     def test_identical_rows_give_zero_scatter(self):
         s = summary_of([[1.0, 2.0], [1.0, 2.0]], [[3.0, -1.0], [3.0, -1.0]])
-        assert np.all(s.s == 0.0)
+        assert (s.t1, s.t2, s.t3, s.t4, s.q1, s.q2, s.q3) == (0.0,) * 7
+        assert s.q0 == pytest.approx(13.0)
 
     def test_scalar_hand_example(self):
         # groups {0, 2} and {1, 3}: means 1 and 2, pooled scatter (2+2)/2
         s = summary_of([[0.0], [2.0]], [[1.0], [3.0]])
         assert s.xbar1[0] == pytest.approx(1.0)
         assert s.xbar2[0] == pytest.approx(2.0)
-        assert s.s[0, 0] == pytest.approx(2.0)
+        assert s.t1 == pytest.approx(2.0)
+        assert s.t4 == pytest.approx(16.0)
+        assert s.q3 == pytest.approx(8.0)  # d = -1, S = 2
         assert s.n == 2
 
     def test_column_permutation_equivariance(self, rng):
@@ -53,7 +62,8 @@ class TestPooledSummary:
         s = summary_of(x1, x2)
         sp = summary_of(x1[:, perm], x2[:, perm])
         assert np.allclose(sp.xbar1, s.xbar1[perm])
-        assert np.allclose(sp.s, s.s[np.ix_(perm, perm)])
+        for name in STATS:
+            assert getattr(sp, name) == pytest.approx(getattr(s, name), rel=1e-12)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
@@ -76,21 +86,72 @@ class TestSummaryValidation:
     def test_asymmetric_covariance_rejected(self):
         s = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(DimensionError):
-            TwoSampleSummary(np.zeros(2), np.zeros(2), s, 3, 3)
+            from_cov(np.zeros(2), np.zeros(2), s, 3, 3)
 
     def test_indefinite_covariance_rejected(self):
         s = np.array([[1.0, 0.0], [0.0, -0.5]])
         with pytest.raises(NotPositiveDefiniteError):
-            TwoSampleSummary(np.zeros(2), np.zeros(2), s, 3, 3)
+            from_cov(np.zeros(2), np.zeros(2), s, 3, 3)
 
     def test_zero_matrix_accepted(self):
-        s = TwoSampleSummary(np.zeros(2), np.zeros(2), np.zeros((2, 2)), 3, 3)
+        s = from_cov(np.zeros(2), np.zeros(2), np.zeros((2, 2)), 3, 3)
         assert s.n == 4
 
     def test_singular_psd_accepted(self, rng):
         v = rng.standard_normal(5)
-        s = TwoSampleSummary(np.zeros(5), np.zeros(5), np.outer(v, v), 3, 3)
+        s = from_cov(np.zeros(5), np.zeros(5), np.outer(v, v), 3, 3)
         assert s.p == 5
+
+    def test_covariance_shape_checked(self):
+        with pytest.raises(DimensionError):
+            from_cov(np.zeros(3), np.zeros(3), np.eye(2), 3, 3)
+
+
+class TestPowerStatistics:
+    """The summary's power statistics against the p x p reference formulas."""
+
+    @pytest.mark.parametrize("p", [9, 21, 40])  # N = 21: p < N, p = N, p > N
+    def test_match_pxp_reference(self, rng, p):
+        x1 = rng.standard_normal((12, p)) + 0.7
+        x2 = 1.5 * rng.standard_normal((9, p))
+        got = summary_of(x1, x2)
+        want = pxp_power_stats(x1, x2)
+        for name in STATS:
+            assert getattr(got, name) == pytest.approx(want[name], rel=1e-12, abs=0.0), name
+
+    @pytest.mark.parametrize("p", [9, 40])
+    def test_from_covariance_matches_data_path(self, rng, p):
+        x1 = rng.standard_normal((12, p)) + 0.7
+        x2 = rng.standard_normal((9, p))
+        got = summary_of(x1, x2)
+        want = from_cov(got.xbar1, got.xbar2, pxp_pooled_covariance(x1, x2), 12, 9)
+        for name in STATS:
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
+
+    @pytest.mark.parametrize("p", [6, 30])
+    @pytest.mark.parametrize("scale", [1.7, 1e-6, 3e5])
+    def test_scale_equivariance(self, rng, p, scale):
+        x1 = rng.standard_normal((8, p)) + 0.5
+        x2 = rng.standard_normal((7, p))
+        base, scaled = summary_of(x1, x2), summary_of(scale * x1, scale * x2)
+        for k in range(1, 5):
+            got, want = getattr(scaled, f"t{k}"), scale ** (2 * k) * getattr(base, f"t{k}")
+            assert got == pytest.approx(want, rel=1e-12)
+        for k in range(4):
+            got, want = getattr(scaled, f"q{k}"), scale ** (2 * k + 2) * getattr(base, f"q{k}")
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_no_pxp_matrix_when_p_exceeds_n(self, rng):
+        # a p x p float matrix at p = 2000 alone takes 32 MB
+        s1 = LabeledSample(rng.standard_normal((10, 2000)), 1)
+        s2 = LabeledSample(rng.standard_normal((10, 2000)), 2)
+        tracemalloc.start()
+        try:
+            pooled_summary(s1, s2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestScores:
@@ -115,11 +176,11 @@ class TestScores:
         assert val == pytest.approx(2.0)
 
     def test_discriminant_balanced_midpoint(self):
-        s = TwoSampleSummary(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.eye(2), 5, 5)
+        s = from_cov(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.eye(2), 5, 5)
         assert discriminant_score([0.0, 3.7], s) == pytest.approx(0.0, abs=1e-12)
 
     def test_discriminant_unbalanced_hand_example(self):
-        s = TwoSampleSummary(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.eye(2), 2, 1)
+        s = from_cov(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.eye(2), 2, 1)
         # 1 - 1 - (1/2) * tr(I_2) = -1
         assert discriminant_score([0.0, 0.0], s) == pytest.approx(-1.0)
 
@@ -127,8 +188,8 @@ class TestScores:
         x = rng.standard_normal(3)
         shift = rng.standard_normal(3)
         cov = random_spd(3, rng)
-        s = TwoSampleSummary(rng.standard_normal(3), rng.standard_normal(3), cov, 4, 7)
-        s2 = TwoSampleSummary(s.xbar1 + shift, s.xbar2 + shift, cov, 4, 7)
+        s = from_cov(rng.standard_normal(3), rng.standard_normal(3), cov, 4, 7)
+        s2 = from_cov(s.xbar1 + shift, s.xbar2 + shift, cov, 4, 7)
         assert discriminant_score(x + shift, s2) == pytest.approx(
             discriminant_score(x, s), rel=1e-9
         )
@@ -137,15 +198,15 @@ class TestScores:
         q = random_orthogonal(5, rng)
         x = rng.standard_normal(5)
         cov = random_spd(5, rng)
-        s = TwoSampleSummary(rng.standard_normal(5), rng.standard_normal(5), cov, 6, 9)
-        s2 = TwoSampleSummary(q @ s.xbar1, q @ s.xbar2, q @ cov @ q.T, 6, 9)
+        s = from_cov(rng.standard_normal(5), rng.standard_normal(5), cov, 6, 9)
+        s2 = from_cov(q @ s.xbar1, q @ s.xbar2, q @ cov @ q.T, 6, 9)
         assert discriminant_score(q @ x, s2) == pytest.approx(
             discriminant_score(x, s), rel=1e-9
         )
 
     def test_balanced_equals_oracle_at_sample_means(self, rng):
         cov = random_spd(3, rng)
-        s = TwoSampleSummary(rng.standard_normal(3), rng.standard_normal(3), cov, 6, 6)
+        s = from_cov(rng.standard_normal(3), rng.standard_normal(3), cov, 6, 6)
         x = rng.standard_normal(3)
         oracle = oracle_score(x, NormalParams(s.xbar1, np.eye(3)), NormalParams(s.xbar2, np.eye(3)))
         assert discriminant_score(x, s) == pytest.approx(oracle, rel=1e-12)
@@ -153,7 +214,7 @@ class TestScores:
 
 class TestClassify:
     def setup_method(self):
-        self.s = TwoSampleSummary(np.array([1.0]), np.array([-1.0]), np.eye(1), 5, 5)
+        self.s = from_cov(np.array([1.0]), np.array([-1.0]), np.eye(1), 5, 5)
 
     def test_boundary_goes_to_group_two(self):
         # score at the midpoint is 0; with c = 0 the tie goes to group 2

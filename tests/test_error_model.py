@@ -20,7 +20,7 @@ from eddr.error_model import (
 )
 from eddr.estimators import DeltaEstimates, TraceEstimates
 from eddr.exceptions import CalibrationInfeasibleError
-from eddr.wishart import cov_delta01, var_delta0, var_delta1
+from eddr.wishart import _sample_wishart_batch, cov_delta01, var_delta0, var_delta1
 
 PHI_M125 = 0.105649773666855257688772764026
 
@@ -156,6 +156,13 @@ class TestAsymptoticLaw:
         with pytest.raises(CalibrationInfeasibleError):
             asymptotic_law(lp, d, t, c=0.0, theta_source="statistic")
 
+    def test_nan_variance_rejected(self):
+        t = traces(a3=math.nan)
+        d = deltas()
+        lp = limit_params(d, t, DIMS)
+        with pytest.raises(CalibrationInfeasibleError):
+            asymptotic_law(lp, d, t, c=0.0)
+
     def test_unknown_flags_rejected(self):
         t, d = traces(), deltas()
         lp = limit_params(d, t, DIMS)
@@ -175,11 +182,35 @@ class TestThetaSources:
         assert theta[0, 1] == theta[1, 0]
 
     def test_estimator_source_entries(self):
-        t, d = traces(), deltas()
+        t, d = traces(a3=0.7, a4=1.6), deltas()
         theta = estimator_covariance(d, t, DIMS)
         assert theta[0, 0] == pytest.approx(var_delta0(DIMS, d.d1, t.a2) / 4.0)
         assert theta[1, 1] == pytest.approx(var_delta1(DIMS, d.d1, d.d3, t.a2, t.a4))
-        assert theta[0, 1] == pytest.approx(-cov_delta01(DIMS, d.d2, t.a4) / 2.0)
+        assert theta[0, 1] == pytest.approx(-cov_delta01(DIMS, d.d2, t.a3) / 2.0)
+
+    def test_estimator_cross_term_matches_monte_carlo(self):
+        # Cov(u0_hat, v0_hat) = -Cov(d'd, d'S d)/2 for d ~ N(delta, c Sigma)
+        # independent of S ~ W(n, Sigma)/n.  Sigma != I separates tr(Sigma^3)
+        # from tr(Sigma^4): the entry is -2.633 with a3 and -3.091 with a4,
+        # about 30 Monte Carlo standard errors apart.
+        m, p, draws, batch = 30, 8, 100_000, 20_000
+        dims, n, c = Dims(m, m, p), 2 * m - 2, 2.0 / m
+        lam = np.linspace(0.3, 3.0, p)
+        mu = np.sqrt(5.0 / p) * np.ones(p)
+        rng = np.random.default_rng(8)
+        d0, d1 = [], []
+        for _ in range(draws // batch):
+            d = mu + np.sqrt(c * lam) * rng.standard_normal((batch, p))
+            w = _sample_wishart_batch(n, np.diag(np.sqrt(lam)), rng, batch)
+            d0.append(np.einsum("bi,bi->b", d, d))
+            d1.append(np.einsum("bi,bij,bj->b", d, w, d) / n)
+        d0, d1 = np.concatenate(d0), np.concatenate(d1)
+        emp = -float(np.cov(d0, d1)[0, 1]) / 2.0
+        se = float(((d0 - d0.mean()) * (d1 - d1.mean())).std(ddof=1)) / np.sqrt(draws) / 2.0
+        a = [float(np.mean(lam**k)) for k in range(1, 5)]
+        delta = [float(mu @ (lam**k * mu)) for k in range(4)]
+        theta = estimator_covariance(DeltaEstimates(*delta), TraceEstimates(*a, p=p, n=n), dims)
+        assert abs(theta[0, 1] - emp) < 5 * se
 
     def test_estimator_variance_dominates(self):
         # the plug-in pair fluctuates more than the conditional statistics

@@ -33,8 +33,7 @@ from oracles import WishartPolyOracle, pmul
 
 
 def summary_with(s, xbar1, xbar2, n1, n2):
-    return TwoSampleSummary(np.asarray(xbar1, float), np.asarray(xbar2, float),
-                            np.asarray(s, float), n1, n2)
+    return TwoSampleSummary.from_covariance(xbar1, xbar2, s, n1, n2)
 
 
 def gaussian_summary(rng, n1=8, n2=9, p=5):

@@ -31,6 +31,10 @@ from eddr.simulate import (
 )
 
 
+def summary_of(x1, x2):
+    return pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+
+
 def m1_config(**kw):
     base = dict(p=8, n1=8, n2=8, rho=0.0, reps=40, seed=7,
                 request=CutoffRequest.m1(0.2))
@@ -89,7 +93,7 @@ class TestTrialMechanics:
         pop = make_population(m1_config())
         x1 = pop.sample_group(pop.mu1, 8, rng)
         x2 = pop.sample_group(pop.mu2, 8, rng)
-        err = error_inputs(x1, x2, pop)
+        err = error_inputs(summary_of(x1, x2), pop)
         assert err.bias == 0.0
         assert err.u_tilde == err.u
 
@@ -97,7 +101,7 @@ class TestTrialMechanics:
         pop = make_population(m1_config())
         x1 = pop.sample_group(pop.mu1, 10, rng)
         x2 = pop.sample_group(pop.mu2, 6, rng)
-        err = error_inputs(x1, x2, pop)
+        err = error_inputs(summary_of(x1, x2), pop)
         expected = (1 / 6 - 1 / 10) * 8 * err.a1 / 2
         assert err.bias == pytest.approx(expected, rel=1e-12)
 
@@ -109,7 +113,7 @@ class TestTrialMechanics:
         pop = make_population(cfg)
         x1 = pop.sample_group(pop.mu1, 12, rng)
         x2 = pop.sample_group(pop.mu2, 12, rng)
-        err = error_inputs(x1, x2, pop)
+        err = error_inputs(summary_of(x1, x2), pop)
         c = 0.4
         analytic = conditional_error(err, c)
         m = 400_000
@@ -120,18 +124,20 @@ class TestTrialMechanics:
         se = np.sqrt(analytic * (1 - analytic) / m)
         assert abs(empirical - analytic) < 4 * se
 
-    def test_m1_fast_path_matches_full_pipeline(self, rng):
-        cfg = m1_config(p=10, n1=9, n2=12)
-        pop = make_population(cfg)
-        x1 = pop.sample_group(pop.mu1, 9, rng)
-        x2 = pop.sample_group(pop.mu2, 12, rng)
-        fast = sim._m1_cutoff_fast(x1, x2, 0.2)
-        summary = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
-        traces, deltas = estimate_all(summary)
-        lp = limit_params(deltas, traces, Dims(9, 12, 10))
+    def test_m1_fast_path_matches_full_pipeline(self):
+        # the M1 arm of run_trial reads four estimates instead of calibrating
         from eddr.calibration import m1_cutoff
 
-        assert fast == pytest.approx(m1_cutoff(lp, 0.2).c, rel=1e-12)
+        for p in (10, 40):  # N = 21: primal and dual statistics
+            cfg = m1_config(p=p, n1=9, n2=12)
+            pop = make_population(cfg)
+            fast = run_trial(cfg, pop, np.random.default_rng(31)).cutoff
+            rng = np.random.default_rng(31)
+            x1 = pop.sample_group(pop.mu1, 9, rng)
+            x2 = pop.sample_group(pop.mu2, 12, rng)
+            traces, deltas = estimate_all(summary_of(x1, x2))
+            lp = limit_params(deltas, traces, Dims(9, 12, p))
+            assert fast == pytest.approx(m1_cutoff(lp, 0.2).c, rel=1e-12)
 
     def test_trial_record_bounds(self):
         with pytest.raises(SimulationError):
@@ -282,19 +288,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             m1_config(workers=0)
 
-    def test_population_uses_sparse_factor_for_large_bands(self):
+    def test_sampling_law_matches_sigma(self):
+        # draws at a banded p = 256 design have mean mu1 and covariance
+        # sigma: every entry within 6 Monte Carlo standard errors
         pop = make_population(m1_config(p=256, rho=0.2))
-        assert pop.chol_sparse is not None
-        pop_dense = make_population(m1_config(p=8, rho=0.2))
-        assert pop_dense.chol_sparse is None
-
-    def test_sparse_and_dense_sampling_agree(self):
-        cfg = m1_config(p=256, rho=0.2)
-        pop = make_population(cfg)
-        dense = PopulationDesign(mu1=pop.mu1, mu2=pop.mu2, sigma=pop.sigma,
-                                 chol=pop.chol, chol_sparse=None)
-        g1 = np.random.default_rng(4)
-        g2 = np.random.default_rng(4)
-        a = pop.sample_group(pop.mu1, 5, g1)
-        b = dense.sample_group(dense.mu1, 5, g2)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+        m = 6000
+        x = pop.sample_group(pop.mu1, m, np.random.default_rng(4)) - pop.mu1
+        sigma = pop.sigma
+        diag = np.diag(sigma)
+        mean_z = x.mean(axis=0) / np.sqrt(diag / m)
+        cov_se = np.sqrt((np.outer(diag, diag) + sigma**2) / m)
+        cov_z = (x.T @ x / m - sigma) / cov_se
+        assert np.abs(mean_z).max() < 6.0
+        assert np.abs(cov_z).max() < 6.0
