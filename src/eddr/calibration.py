@@ -26,6 +26,7 @@ from .error_model import (
     AsymptoticLaw,
     LimitParams,
     asymptotic_law,
+    estimator_covariance,
     expected_error,
     limit_params,
 )
@@ -38,15 +39,10 @@ from .exceptions import CalibrationInfeasibleError
 M2_ANCHORS = ("eu", "fixed-point")
 DEFAULT_M2_ANCHOR = "eu"
 
-#: Where the logit-scale spread is evaluated.  "target" rescales the
-#: error-scale standard deviation by the logit derivative at the
-#: normal-scale adjusted percentile (the point where the error law is
-#: actually centred once the cut-off is applied); "anchor" uses the law's
-#: own tau_ell2, i.e. the derivative at the law's evaluation point.
-#: "target" is the default; it is the variant that reproduces the
-#: reference confidence tables.
-LOGIT_SPREADS = ("target", "anchor")
-DEFAULT_LOGIT_SPREAD = "target"
+#: The fixed-point anchor stops once the cut-off moves by at most
+#: FIXED_POINT_TOL * (1 + |c|), or after FIXED_POINT_MAX_ITER updates.
+FIXED_POINT_MAX_ITER = 100
+FIXED_POINT_TOL = 1e-10
 
 
 class CutoffVariant(enum.Enum):
@@ -150,37 +146,21 @@ def gamma_logit(eu: float, beta: float, tau_ell: float) -> float:
     return out
 
 
-def _logit_spread_value(law: AsymptoticLaw, gamma_n: float | None, logit_spread: str) -> float:
-    """Standard deviation of the logit of the conditional error.
-
-    With ``"target"`` the logit derivative is taken at the normal-scale
-    adjusted percentile (where the calibrated error law is centred),
-    falling back to the law's own anchored value when that percentile is
-    out of range.
-    """
-    if logit_spread not in LOGIT_SPREADS:
-        raise ValueError(f"unknown logit spread {logit_spread!r}")
-    if logit_spread == "target" and gamma_n is not None and 0.0 < gamma_n < 1.0:
-        spread = gamma_n * (1.0 - gamma_n)
-        if law.logit_variance == "plain":
-            return math.sqrt(law.tau2 / spread)
-        return math.sqrt(law.tau2) / spread
-    return math.sqrt(law.tau_ell2)
-
-
 def m2_cutoff(
     lp: LimitParams,
     law: AsymptoticLaw,
     req: CutoffRequest,
     a1: float,
-    logit_spread: str = DEFAULT_LOGIT_SPREAD,
 ) -> CutoffResult:
     """Confidence-policy cut-off (-u0 + sqrt(v0) z_gamma) / a1.
 
     For ``M2_NORMAL`` requests with gamma outside (0,1) the logit variant
     is used instead and the result is flagged with ``fell_back=True``.
     gamma exactly 0 or 1 counts as out of range (its quantile is not
-    defined).
+    defined).  The logit-scale spread rescales sqrt(tau2) by the logit
+    derivative at the normal-scale gamma when that lies in (0,1), else it
+    is sqrt(tau_ell2).  The division by ``a1`` makes this cut-off degree 0
+    under data scaling x -> s x, where the M1 cut-off is degree 2.
     """
     if req.variant == CutoffVariant.M1:
         raise ValueError("m2_cutoff expects an M2 request")
@@ -194,7 +174,14 @@ def m2_cutoff(
             c = (-lp.u0 + math.sqrt(lp.v0) * std_normal_quantile(gamma_n)) / a1
             return CutoffResult(c=float(c), variant_used=CutoffVariant.M2_NORMAL, gamma=gamma_n)
         fell_back = True
-    tau_ell = _logit_spread_value(law, gamma_n, logit_spread)
+    if 0.0 < gamma_n < 1.0:
+        spread = gamma_n * (1.0 - gamma_n)
+        if law.logit_variance == "plain":
+            tau_ell = math.sqrt(law.tau2 / spread)
+        else:
+            tau_ell = math.sqrt(law.tau2) / spread
+    else:
+        tau_ell = math.sqrt(law.tau_ell2)
     gamma = gamma_logit(eu, beta, tau_ell)
     if not 0.0 < gamma < 1.0:
         raise CalibrationInfeasibleError(
@@ -223,21 +210,15 @@ def calibrate(
     request: CutoffRequest,
     logit_variance: str = DEFAULT_LOGIT_VARIANCE,
     anchor: str = DEFAULT_M2_ANCHOR,
-    theta_source: str = "estimator",
-    logit_spread: str = DEFAULT_LOGIT_SPREAD,
-    max_iter: int = 100,
-    tol: float = 1e-10,
 ) -> CalibrationOutcome:
     """Full pipeline from plug-in estimates to a cut-off.
 
     For M2 requests the error law must be evaluated at some cut-off before
     the adjusted percentile exists; ``anchor`` selects that point (see
     :data:`M2_ANCHORS`).  The fixed-point option iterates law evaluation
-    and cut-off extraction until the cut-off stops moving.
-
-    The defaults (law anchored at the upper bound, estimator-covariance
-    tau, logit spread at the adjusted percentile) are the combination
-    that reproduces the reference simulation tables.
+    and cut-off extraction until the cut-off stops moving.  The law uses
+    :func:`~eddr.error_model.estimator_covariance`, the matrix that
+    reproduces the reference simulation tables.
     """
     if anchor not in M2_ANCHORS:
         raise ValueError(f"unknown anchor {anchor!r}")
@@ -246,21 +227,15 @@ def calibrate(
         return CalibrationOutcome(
             result=m1_cutoff(lp, request.alpha), limit=lp, law=None, a1=traces.a1
         )
+    theta = estimator_covariance(deltas, traces, dims)
     # start where the limiting error equals the target upper bound
     c = math.sqrt(lp.v0) * std_normal_quantile(request.eu) - lp.u0
-    law = asymptotic_law(
-        lp, deltas, traces, c, logit_variance=logit_variance, theta_source=theta_source
-    )
-    res = m2_cutoff(lp, law, request, traces.a1, logit_spread=logit_spread)
-    if anchor == "fixed-point":
-        for _ in range(max_iter):
-            if abs(res.c - c) <= tol * (1.0 + abs(c)):
-                break
-            c = res.c
-            law = asymptotic_law(
-                lp, deltas, traces, c, logit_variance=logit_variance, theta_source=theta_source
-            )
-            res = m2_cutoff(lp, law, request, traces.a1, logit_spread=logit_spread)
+    for _ in range(1 + FIXED_POINT_MAX_ITER if anchor == "fixed-point" else 1):
+        law = asymptotic_law(lp, theta, c, logit_variance=logit_variance)
+        res = m2_cutoff(lp, law, request, traces.a1)
+        if abs(res.c - c) <= FIXED_POINT_TOL * (1.0 + abs(c)):
+            break
+        c = res.c
     return CalibrationOutcome(result=res, limit=lp, law=law, a1=traces.a1)
 
 

@@ -53,6 +53,13 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+#: Allowed values of the flags and ``simulate`` config keys that take a choice.
+_CHOICES = {
+    "method": ("m1", "m2-normal", "m2-logit"),
+    "logit_variance": LOGIT_VARIANCE_CONVENTIONS,
+    "anchor": M2_ANCHORS,
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
@@ -85,6 +92,14 @@ def _request_from_args(method: str, alpha, eu, beta) -> CutoffRequest:
 
 class UsageError(Exception):
     pass
+
+
+def _calibration_knobs(settings: dict) -> dict:
+    """``logit_variance`` and ``anchor`` as given, else their defaults."""
+    return {
+        "logit_variance": settings.get("logit_variance") or DEFAULT_LOGIT_VARIANCE,
+        "anchor": settings.get("anchor") or DEFAULT_M2_ANCHOR,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +143,8 @@ def cmd_calibrate(args) -> int:
     summary = _load_training(args)
     request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
     traces, deltas = estimate_all(summary)
-    outcome = calibrate(
-        traces,
-        deltas,
-        dims=summary.dims,
-        request=request,
-        logit_variance=args.logit_variance,
-        anchor=args.anchor,
-    )
+    knobs = _calibration_knobs(vars(args))
+    outcome = calibrate(traces, deltas, summary.dims, request, **knobs)
     res = outcome.result
     if res.fell_back:
         print("note: normal-scale percentile left (0,1); used the logit variant", file=sys.stderr)
@@ -168,14 +177,8 @@ def cmd_classify(args) -> int:
     else:
         request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
         traces, deltas = estimate_all(summary)
-        c = calibrate(
-            traces,
-            deltas,
-            dims=summary.dims,
-            request=request,
-            logit_variance=args.logit_variance,
-            anchor=args.anchor,
-        ).result.c
+        knobs = _calibration_knobs(vars(args))
+        c = calibrate(traces, deltas, summary.dims, request, **knobs).result.c
     lines = []
     if query.size:
         if query.shape[1] != summary.p:
@@ -228,6 +231,11 @@ def _resolve_sim_settings(args) -> dict:
             if key not in _SIM_KEYS:
                 raise DataFormatError(f"{args.config}: unknown key {key!r}")
             settings[key] = _SIM_KEYS[key](value)
+            if key in _CHOICES and settings[key] not in _CHOICES[key]:
+                raise UsageError(
+                    f"{args.config}: {key} must be one of {', '.join(_CHOICES[key])}, "
+                    f"got {value!r}"
+                )
     for key in _SIM_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -245,6 +253,8 @@ def _int_list(text: str) -> list[int]:
 def cmd_simulate(args) -> int:
     settings = _resolve_sim_settings(args)
     settings.setdefault("reps", 20000)  # desk-scale default
+    knobs = _calibration_knobs(settings)
+    settings.update(knobs)
     for required in ("seed", "method"):
         if required not in settings:
             raise UsageError(f"simulate needs --{required.replace('_', '-')}")
@@ -288,9 +298,7 @@ def cmd_simulate(args) -> int:
             cfg = SimConfig(
                 p=p, n1=n1, n2=n2, rho=rho, bandwidth=bandwidth,
                 reps=settings["reps"], seed=settings["seed"], request=request,
-                workers=workers,
-                logit_variance=settings.get("logit_variance", DEFAULT_LOGIT_VARIANCE),
-                anchor=settings.get("anchor", DEFAULT_M2_ANCHOR),
+                workers=workers, **knobs,
             )
             result = run_simulation(cfg)
             ae = attained_error_rate(result.records)
@@ -361,13 +369,12 @@ def _add_io_flags(sub):
 
 
 def _add_method_flags(sub, required=False):
-    sub.add_argument("--method", choices=["m1", "m2-normal", "m2-logit"], required=required)
+    sub.add_argument("--method", choices=_CHOICES["method"], required=required)
     sub.add_argument("--alpha", type=float, help="target expected error (m1)")
     sub.add_argument("--eu", type=float, help="upper bound on the conditional error (m2)")
     sub.add_argument("--beta", type=float, help="1 - confidence level (m2)")
-    sub.add_argument("--logit-variance", choices=list(LOGIT_VARIANCE_CONVENTIONS),
-                     default=DEFAULT_LOGIT_VARIANCE)
-    sub.add_argument("--anchor", choices=list(M2_ANCHORS), default=DEFAULT_M2_ANCHOR)
+    sub.add_argument("--logit-variance", choices=_CHOICES["logit_variance"])
+    sub.add_argument("--anchor", choices=_CHOICES["anchor"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,19 +20,19 @@ entries already carry the 1/n decay.  Consequently ``tau2 = grad' theta
 grad`` is directly a variance on the error scale, with no additional n
 factor applied anywhere.
 
-Two covariance sources are supported for ``theta``:
+The law takes ``theta`` as a matrix; two are provided:
 
-* ``"statistic"`` — the covariance of the conditional statistics (U, V)
-  themselves, assembled from :func:`h_u`, :func:`h_v`, :func:`h_uv`.
-  This is the law of the conditional error at a *fixed* cut-off, and is
-  what the empirical distribution of the error matches when the cut-off
-  is held at its population value.
-* ``"estimator"`` — the covariance of the plug-in pair (u0_hat, v0_hat),
-  assembled from the exact second-moment formulas of the re-centred
+* :func:`statistic_covariance` — the covariance of the conditional
+  statistics (U, V) themselves, from :func:`h_u`, :func:`h_v`,
+  :func:`h_uv`.  It gives the law of the conditional error at a *fixed*
+  cut-off, which the empirical error distribution matches when the
+  cut-off is held at its population value.
+* :func:`estimator_covariance` — the covariance of the plug-in pair
+  (u0_hat, v0_hat), from the exact second moments of the re-centred
   estimators.  When the cut-off is itself estimated from the training
-  data, the spread of the realized conditional error is driven by this
-  larger matrix; the confidence calibration uses it by default because
-  it is the variant that reproduces the reference simulation tables.
+  data, this larger matrix drives the spread of the realized conditional
+  error; the confidence calibration uses it because it reproduces the
+  reference simulation tables.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from .core import Dims, std_normal_cdf, std_normal_pdf
 from .estimators import DeltaEstimates, TraceEstimates
 from .exceptions import CalibrationInfeasibleError
 from .wishart import cov_delta01, var_delta0, var_delta1
-
-THETA_SOURCES = ("statistic", "estimator")
 
 #: Conventions for the variance of the logit of the conditional error.
 #: "plain" divides tau2 by e0(1-e0) once; "delta" is the delta-method
@@ -154,13 +152,13 @@ def estimator_covariance(d: DeltaEstimates, t: TraceEstimates, dims: Dims) -> np
 
 def asymptotic_law(
     lp: LimitParams,
-    d: DeltaEstimates,
-    t: TraceEstimates,
+    theta: np.ndarray,
     c: float,
     logit_variance: str = DEFAULT_LOGIT_VARIANCE,
-    theta_source: str = "statistic",
 ) -> AsymptoticLaw:
     """Normal law of the conditional error at cut-off ``c``.
+
+    ``theta`` is one of the two covariance matrices described above.
 
     Raises :class:`CalibrationInfeasibleError` when the plug-in covariance
     is indefinite enough to make tau2 negative, when tau2 is NaN, or when
@@ -168,9 +166,6 @@ def asymptotic_law(
     """
     if logit_variance not in LOGIT_VARIANCE_CONVENTIONS:
         raise ValueError(f"unknown logit variance convention {logit_variance!r}")
-    if theta_source not in THETA_SOURCES:
-        raise ValueError(f"unknown theta source {theta_source!r}")
-    dims = lp.dims
     sv = math.sqrt(lp.v0)
     w = (lp.u0 + c) / sv
     e0 = std_normal_cdf(w)
@@ -178,10 +173,6 @@ def asymptotic_law(
         raise CalibrationInfeasibleError(f"limiting error degenerates to {e0:g}")
     pdf = std_normal_pdf(w)
     grad = np.array([pdf / sv, -(lp.u0 + c) / (2.0 * lp.v0 * sv) * pdf])
-    if theta_source == "statistic":
-        theta = statistic_covariance(d, t, dims)
-    else:
-        theta = estimator_covariance(d, t, dims)
     tau2 = float(grad @ theta @ grad)
     if not tau2 >= 0.0:
         raise CalibrationInfeasibleError(

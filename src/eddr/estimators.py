@@ -110,12 +110,7 @@ def delta2_from_stats(q2, d1, a1, a2, a3, n, n1, n2, p):
     return (q2 - p / n * a1 * d1 - centre) / (1 + 1 / n)
 
 
-def delta3_from_stats(q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p, literal_squared=False):
-    # The re-centring construction is linear in d1 and d2; the squared
-    # variant breaks the estimator's homogeneity degree and is kept only
-    # for comparison (see delta3_hat).
-    if literal_squared:
-        d1, d2 = d1**2, d2**2
+def delta3_from_stats(q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p):
     lead = (n * (n + 3) + 4) / n**2
     centre = (n1 + n2) * p / (n1 * n2) * (
         lead * a4 + (n + 1) * p / n**2 * a2**2 + 2 * (n + 1) * p / n**2 * a1 * a3 + p**2 / n**2 * a1**2 * a2
@@ -182,30 +177,17 @@ def delta2_hat(summary: TwoSampleSummary, traces: TraceEstimates, d1: float) -> 
     return _finite("delta2", delta2_from_stats(s.q2, d1, t.a1, t.a2, t.a3, s.n, s.n1, s.n2, s.p))
 
 
-def delta3_hat(
-    summary: TwoSampleSummary,
-    traces: TraceEstimates,
-    d1: float,
-    d2: float,
-    literal_squared: bool = False,
-) -> float:
-    """Estimate of delta' Sigma^3 delta given the trace estimates, d1 and d2.
-
-    ``literal_squared=True`` switches the d1/d2 re-centring terms to their
-    squared variants for comparison; the default linear form is the one
-    whose expectation is exactly the target and is degree-8 homogeneous
-    under data scaling.
-    """
+def delta3_hat(summary: TwoSampleSummary, traces: TraceEstimates, d1: float, d2: float) -> float:
+    """Estimate of delta' Sigma^3 delta given the trace estimates, d1 and d2."""
     _require_n(summary.n, 7, "delta3_hat")
     s, t = summary, traces
     return _finite("delta3", delta3_from_stats(
-        s.q3, d1, d2, t.a1, t.a2, t.a3, t.a4, s.n, s.n1, s.n2, s.p,
-        literal_squared=literal_squared,
+        s.q3, d1, d2, t.a1, t.a2, t.a3, t.a4, s.n, s.n1, s.n2, s.p
     ))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def estimate_all(summary: TwoSampleSummary, literal_squared: bool = False):
+def estimate_all(summary: TwoSampleSummary):
     """All eight estimates from the summary's power statistics.
 
     Returns ``(TraceEstimates, DeltaEstimates)``; raises
@@ -216,5 +198,5 @@ def estimate_all(summary: TwoSampleSummary, literal_squared: bool = False):
                             a4=a4_hat(summary), p=summary.p, n=summary.n)
     d1 = delta1_hat(summary)
     d2 = delta2_hat(summary, traces, d1)
-    d3 = delta3_hat(summary, traces, d1, d2, literal_squared=literal_squared)
+    d3 = delta3_hat(summary, traces, d1, d2)
     return traces, DeltaEstimates(d0=delta0_hat(summary), d1=d1, d2=d2, d3=d3)

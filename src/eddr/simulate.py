@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -328,11 +328,6 @@ def attained_confidence_level(records: Sequence[TrialRecord], eu: float) -> Aggr
     return AggregateStat(value=frac, se=se)
 
 
-def with_request(cfg: SimConfig, request: CutoffRequest) -> SimConfig:
-    """Same design and seed, different calibration policy (shared data)."""
-    return replace(cfg, request=request)
-
-
 __all__ = [
     "SimConfig",
     "TrialRecord",
@@ -348,6 +343,5 @@ __all__ = [
     "run_simulation",
     "attained_error_rate",
     "attained_confidence_level",
-    "with_request",
     "DESIGN_SEPARATION",
 ]

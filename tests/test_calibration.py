@@ -17,7 +17,13 @@ from eddr.calibration import (
     m2_cutoff,
 )
 from eddr.core import Dims, std_normal_cdf
-from eddr.error_model import LimitParams, asymptotic_law, expected_error, limit_params
+from eddr.error_model import (
+    LimitParams,
+    asymptotic_law,
+    estimator_covariance,
+    expected_error,
+    limit_params,
+)
 from eddr.estimators import DeltaEstimates, TraceEstimates
 from eddr.exceptions import CalibrationInfeasibleError
 
@@ -238,18 +244,32 @@ class TestCalibrate:
         # the self-consistent cut-off is less conservative here
         assert out_fp.result.c > out_eu.result.c
         lp = limit_params(self.d, self.t, DIMS)
-        law = asymptotic_law(
-            lp, self.d, self.t, out_fp.result.c, theta_source="estimator"
-        )
+        theta = estimator_covariance(self.d, self.t, DIMS)
+        law = asymptotic_law(lp, theta, out_fp.result.c)
         res = m2_cutoff(lp, law, CutoffRequest.m2_normal(0.2, 0.1), 1.0)
         assert res.c == pytest.approx(out_fp.result.c, rel=1e-8)
 
-    def test_statistic_source_gives_smaller_margin(self):
-        out_est = calibrate(self.t, self.d, DIMS, CutoffRequest.m2_normal(0.2, 0.1),
-                            theta_source="estimator")
-        out_stat = calibrate(self.t, self.d, DIMS, CutoffRequest.m2_normal(0.2, 0.1),
-                             theta_source="statistic")
-        assert out_stat.result.gamma > out_est.result.gamma
+    def test_fixed_point_stops_after_101_law_evaluations(self, monkeypatch):
+        import eddr.calibration as cal
+
+        calls = []
+
+        def counting_law(lp, theta, c, logit_variance):
+            calls.append(c)
+            return asymptotic_law(lp, theta, c, logit_variance)
+
+        def drifting_cutoff(lp, law, req, a1):  # never self-consistent
+            res = m2_cutoff(lp, law, req, a1)
+            return CutoffResult(c=calls[-1] + 1e-3, variant_used=res.variant_used, gamma=res.gamma)
+
+        monkeypatch.setattr(cal, "asymptotic_law", counting_law)
+        monkeypatch.setattr(cal, "m2_cutoff", drifting_cutoff)
+        req = CutoffRequest.m2_normal(0.2, 0.1)
+        calibrate(self.t, self.d, DIMS, req, anchor="fixed-point")
+        assert len(calls) == 1 + cal.FIXED_POINT_MAX_ITER == 101
+        calls.clear()
+        calibrate(self.t, self.d, DIMS, req)
+        assert len(calls) == 1
 
     def test_unknown_anchor_rejected(self):
         with pytest.raises(ValueError):

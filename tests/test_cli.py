@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import eddr
+from eddr.calibration import CutoffRequest, calibrate
 from eddr.cli import main
 from eddr.core import LabeledSample, discriminant_score, pooled_summary
+from eddr.dataio import read_matrix_csv
+from eddr.estimators import estimate_all
 
 
 @pytest.fixture
@@ -132,6 +135,25 @@ class TestCalibrate:
         f1, f2, *_ = training_files
         code, _, _ = run_cli(capsys, "calibrate", f1, f2, "--method", "m1", "--alpha", "1.5")
         assert code == 1
+
+    def test_anchor_and_logit_variance_flags_match_library(self, capsys, training_files):
+        f1, f2, *_ = training_files
+        code, out, err = run_cli(
+            capsys, "calibrate", f1, f2, "--method", "m2-normal", "--eu", "0.3", "--beta", "0.1",
+            "--anchor", "fixed-point", "--logit-variance", "plain",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        summary = pooled_summary(LabeledSample(read_matrix_csv(f1), 1),
+                                 LabeledSample(read_matrix_csv(f2), 2))
+        traces, deltas = estimate_all(summary)
+        request = CutoffRequest.m2_normal(0.3, 0.1)
+        lib = calibrate(traces, deltas, summary.dims, request,
+                        logit_variance="plain", anchor="fixed-point")
+        assert payload["c"] == lib.result.c
+        assert payload["gamma"] == lib.result.gamma
+        assert payload["tau2"] == lib.law.tau2
+        assert lib.result.c != calibrate(traces, deltas, summary.dims, request).result.c
 
 
 class TestClassify:
@@ -263,6 +285,43 @@ class TestSimulate:
         assert code == 0
         sidecar2 = json.loads((tmp_path / "d.json").read_text())
         assert sidecar2["cells"][0]["ae"] > sidecar1["cells"][0]["ae"]
+
+    def test_config_sets_anchor_and_logit_variance(self, capsys, tmp_path):
+        design = ["--n-grid", "16", "--p-grid", "8", "--reps", "40", "--seed", "5",
+                  "--method", "m2-logit", "--eu", "0.3", "--beta", "0.2"]
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("anchor = fixed-point\nlogit_variance = plain\n")
+        runs = {
+            "config": ["--config", str(cfg)],
+            "flags": ["--anchor", "fixed-point", "--logit-variance", "plain"],
+            "default": [],
+        }
+        for name, extra in runs.items():
+            code, _, err = run_cli(capsys, "simulate", *design, *extra,
+                                   "--out", str(tmp_path / name))
+            assert code == 0, err
+        sidecar = {name: (tmp_path / f"{name}.json").read_bytes() for name in runs}
+        assert sidecar["config"] == sidecar["flags"] != sidecar["default"]
+        for name, expected in (("config", ("fixed-point", "plain")), ("default", ("eu", "delta"))):
+            config = json.loads((tmp_path / f"{name}.manifest.json").read_text())["config"]
+            assert (config["anchor"], config["logit_variance"]) == expected
+
+    @pytest.mark.parametrize("method", [
+        ["--method", "m1", "--alpha", "0.2"],
+        ["--method", "m2-normal", "--eu", "0.3", "--beta", "0.2"],
+        ["--method", "m2-logit", "--eu", "0.3", "--beta", "0.2"],
+    ])
+    @pytest.mark.parametrize("line", ["anchor = bogus", "logit_variance = bogus", "method = bogus"])
+    def test_config_value_outside_choices_usage_error(self, capsys, tmp_path, method, line):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--n-grid", "12", "--p-grid", "4",
+            "--reps", "20", "--seed", "3", *method, "--out", str(tmp_path / "bad"),
+        )
+        assert code == 1
+        assert "bogus" in err
+        assert list(tmp_path.glob("bad*")) == []
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -95,14 +95,14 @@ class TestAsymptoticLaw:
         t = TraceEstimates(a1=1.0, a2=0.0, a3=0.0, a4=0.0, p=1, n=6)
         d = DeltaEstimates(d0=2.0, d1=4 * s_val, d2=0.0, d3=s_val / 2)
         lp = limit_params(d, t, dims)
-        law = asymptotic_law(lp, d, t, c=0.3)
+        law = asymptotic_law(lp, statistic_covariance(d, t, dims), c=0.3)
         assert np.allclose(law.theta, s_val * np.eye(2))
         assert law.tau2 == pytest.approx(s_val * float(law.grad @ law.grad), rel=1e-12)
 
     def test_centered_point(self):
         t, d = traces(), deltas()
         lp = limit_params(d, t, DIMS)
-        law = asymptotic_law(lp, d, t, c=-lp.u0)
+        law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=-lp.u0)
         assert law.e0 == pytest.approx(0.5, abs=1e-14)
         assert law.grad[1] == pytest.approx(0.0, abs=1e-16)
         expected = law.theta[0, 0] * std_normal_pdf(0.0) ** 2 / lp.v0
@@ -114,13 +114,13 @@ class TestAsymptoticLaw:
         t, d = traces(), deltas()
         lp = limit_params(d, t, DIMS)
         for c in (-1.0, 0.5, 2.5, 4.0):
-            law = asymptotic_law(lp, d, t, c=c, logit_variance="plain")
+            law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=c, logit_variance="plain")
             assert law.tau_ell2 >= 4.0 * law.tau2 - 1e-12
 
     def test_delta_logit_variance(self):
         t, d = traces(), deltas()
         lp = limit_params(d, t, DIMS)
-        law = asymptotic_law(lp, d, t, c=1.0, logit_variance="delta")
+        law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=1.0, logit_variance="delta")
         spread = law.e0 * (1 - law.e0)
         assert law.tau_ell2 == pytest.approx(law.tau2 / spread**2, rel=1e-12)
 
@@ -130,7 +130,7 @@ class TestAsymptoticLaw:
         t, d = traces(), deltas()
         lp = limit_params(d, t, DIMS)
         c = 0.7
-        law = asymptotic_law(lp, d, t, c=c)
+        law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=c)
 
         def f(u, v):
             return std_normal_cdf((u + c) / math.sqrt(v))
@@ -146,7 +146,7 @@ class TestAsymptoticLaw:
         t, d = traces(), deltas()
         lp = limit_params(d, t, DIMS)
         with pytest.raises(CalibrationInfeasibleError):
-            asymptotic_law(lp, d, t, c=1e6)
+            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=1e6)
 
     def test_negative_variance_rejected(self):
         # a huge positive cross estimate makes the plug-in matrix indefinite
@@ -154,22 +154,20 @@ class TestAsymptoticLaw:
         d = deltas(d0=5.0, d1=0.5, d2=50.0, d3=0.01)
         lp = limit_params(d, t, DIMS)
         with pytest.raises(CalibrationInfeasibleError):
-            asymptotic_law(lp, d, t, c=0.0, theta_source="statistic")
+            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0)
 
     def test_nan_variance_rejected(self):
         t = traces(a3=math.nan)
         d = deltas()
         lp = limit_params(d, t, DIMS)
         with pytest.raises(CalibrationInfeasibleError):
-            asymptotic_law(lp, d, t, c=0.0)
+            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0)
 
     def test_unknown_flags_rejected(self):
         t, d = traces(), deltas()
         lp = limit_params(d, t, DIMS)
         with pytest.raises(ValueError):
-            asymptotic_law(lp, d, t, c=0.0, logit_variance="bogus")
-        with pytest.raises(ValueError):
-            asymptotic_law(lp, d, t, c=0.0, theta_source="bogus")
+            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0, logit_variance="bogus")
 
 
 class TestThetaSources:
@@ -223,8 +221,8 @@ class TestThetaSources:
     def test_law_uses_requested_source(self):
         t, d = traces(), deltas()
         lp = limit_params(d, t, DIMS)
-        law_s = asymptotic_law(lp, d, t, c=0.5, theta_source="statistic")
-        law_e = asymptotic_law(lp, d, t, c=0.5, theta_source="estimator")
+        stat, est = statistic_covariance(d, t, DIMS), estimator_covariance(d, t, DIMS)
+        law_s = asymptotic_law(lp, stat, c=0.5)
+        law_e = asymptotic_law(lp, est, c=0.5)
         assert law_e.tau2 > law_s.tau2
-        assert np.allclose(law_s.theta, statistic_covariance(d, t, DIMS))
-        assert np.allclose(law_e.theta, estimator_covariance(d, t, DIMS))
+        assert law_s.theta is stat and law_e.theta is est

@@ -124,20 +124,6 @@ class TestDeltaEstimators:
                                          (de2.d0, de2.d1, de2.d2, de2.d3))):
             assert v2 == pytest.approx(t ** (2 * i + 2) * v1, rel=1e-9)
 
-    def test_literal_squared_variant_differs_and_breaks_homogeneity(self, rng):
-        x1 = rng.standard_normal((9, 4)) + 1.0
-        x2 = rng.standard_normal((10, 4))
-        s1 = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
-        traces, deltas = estimate_all(s1)
-        linear = delta3_hat(s1, traces, deltas.d1, deltas.d2)
-        squared = delta3_hat(s1, traces, deltas.d1, deltas.d2, literal_squared=True)
-        assert linear != squared
-        t = 2.0
-        s2 = pooled_summary(LabeledSample(t * x1, 1), LabeledSample(t * x2, 2))
-        tr2, de2 = estimate_all(s2)
-        sq2 = delta3_hat(s2, tr2, de2.d1, de2.d2, literal_squared=True)
-        assert sq2 != pytest.approx(t**8 * squared, rel=1e-6)
-
     def test_rotation_invariance(self, rng):
         x1 = rng.standard_normal((9, 5)) + 0.5
         x2 = rng.standard_normal((8, 5))

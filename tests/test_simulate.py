@@ -1,5 +1,7 @@
 """Simulation harness: design construction, trials, determinism, aggregates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,6 @@ from eddr.simulate import (
     make_population,
     run_simulation,
     run_trial,
-    with_request,
 )
 
 
@@ -172,7 +173,7 @@ class TestDeterminism:
         # same seed means the two confidence variants see identical draws
         cfg_n = m1_config(p=8, n1=16, n2=16, reps=10, seed=3,
                           request=CutoffRequest.m2_normal(0.3, 0.2))
-        cfg_l = with_request(cfg_n, CutoffRequest.m2_logit(0.3, 0.2))
+        cfg_l = replace(cfg_n, request=CutoffRequest.m2_logit(0.3, 0.2))
         rn = run_simulation(cfg_n)
         rl = run_simulation(cfg_l)
         # cutoffs differ, but both saw the same training data; with a looser
@@ -181,8 +182,8 @@ class TestDeterminism:
 
     def test_monotone_error_in_alpha(self):
         cfg1 = m1_config(p=8, n1=16, n2=16, reps=60, seed=11, request=CutoffRequest.m1(0.1))
-        cfg2 = with_request(cfg1, CutoffRequest.m1(0.2))
-        cfg3 = with_request(cfg1, CutoffRequest.m1(0.35))
+        cfg2 = replace(cfg1, request=CutoffRequest.m1(0.2))
+        cfg3 = replace(cfg1, request=CutoffRequest.m1(0.35))
         a1 = attained_error_rate(run_simulation(cfg1).records).value
         a2 = attained_error_rate(run_simulation(cfg2).records).value
         a3 = attained_error_rate(run_simulation(cfg3).records).value
