@@ -140,8 +140,8 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    summary = _load_training(args)
     request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
+    summary = _load_training(args)
     traces, deltas = estimate_all(summary)
     knobs = _calibration_knobs(vars(args))
     outcome = calibrate(traces, deltas, summary.dims, request, **knobs)
@@ -168,14 +168,15 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
+    if args.cutoff is None:
+        if args.method is None:
+            raise UsageError("classify needs either --cutoff or --method with its parameters")
+        request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
     summary = _load_training(args)
     query = read_matrix_csv(args.query, skip_header=args.skip_header or None)
     if args.cutoff is not None:
         c = args.cutoff
-    elif args.method is None:
-        raise UsageError("classify needs either --cutoff or --method with its parameters")
     else:
-        request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
         traces, deltas = estimate_all(summary)
         knobs = _calibration_knobs(vars(args))
         c = calibrate(traces, deltas, summary.dims, request, **knobs).result.c

@@ -1,18 +1,30 @@
 """CSV ingestion and run manifests.
 
 Input files are plain comma-separated numeric matrices, one observation
-per row, '.' as the decimal mark.  A header row is detected by a
-non-numeric first line (or forced with ``skip_header=True``).  Parse
-failures report the offending row and column.
+per row, '.' as the decimal mark, UTF-8 with or without a byte-order
+mark.  The first non-blank line is a header when none of its non-empty
+cells parses as a number, or always with ``skip_header=True``; a first
+line with any numeric cell is data, so a bad cell in it is reported like
+a bad cell anywhere else.
+
+Reading has two stages.  The lines after the header go to numpy's C
+parser (``np.loadtxt``).  If it raises, warns, finds no rows or returns
+a non-finite value, the file is read again by the checked row-by-row
+parser, which accepts everything Python's ``float`` accepts, skips
+whitespace-only lines, and is the only source of the row/column
+diagnostics.  Every cell the C parser accepts, ``float`` accepts with
+the same bits, so the result does not depend on which stage produced it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import platform
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -45,26 +57,24 @@ def _parse_row(line: str, row_index: int, path: str) -> list[float]:
     return values
 
 
-def read_matrix_csv(path: str, skip_header: bool | None = None) -> np.ndarray:
-    """Read a numeric matrix; returns shape (rows, cols), possibly (0, 0).
+def _is_header(line: str) -> bool:
+    """True when no cell of ``line`` parses as a number (empty cells never do)."""
+    for cell in line.split(","):
+        try:
+            float(cell)
+        except ValueError:
+            continue
+        return False
+    return True
 
-    ``skip_header=None`` auto-detects a header by trying to parse the
-    first non-empty line as numbers.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
+
+def _read_checked(path: str, skip_header: bool | None) -> np.ndarray:
+    """Row-by-row reader that reports the row and column of a bad cell."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     rows_text = [(i, ln) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows_text:
-        return np.zeros((0, 0))
-    start = 0
-    if skip_header is True:
-        start = 1
-    elif skip_header is None:
-        try:
-            _parse_row(rows_text[0][1], rows_text[0][0], path)
-        except DataFormatError:
-            start = 1
-    rows_text = rows_text[start:]
+    if rows_text and (skip_header or (skip_header is None and _is_header(rows_text[0][1]))):
+        rows_text = rows_text[1:]
     if not rows_text:
         return np.zeros((0, 0))
     data = []
@@ -84,6 +94,30 @@ def read_matrix_csv(path: str, skip_header: bool | None = None) -> np.ndarray:
         raise DataFormatError(
             f"{path}: row {int(bad[0]) + 1}, column {int(bad[1]) + 1} is not finite"
         )
+    return matrix
+
+
+def read_matrix_csv(path: str, skip_header: bool | None = None) -> np.ndarray:
+    """Read a numeric matrix; returns shape (rows, cols), possibly (0, 0).
+
+    ``skip_header=None`` treats the first non-blank line as a header when
+    none of its non-empty cells is a number.  Raises
+    :class:`DataFormatError` naming the row and column of a bad cell.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        first = fh.readline()
+        while first and not first.strip():
+            first = fh.readline()
+        header = skip_header or (skip_header is None and _is_header(first))
+        rows = fh if header else itertools.chain([first], fh)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                matrix = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except (ValueError, Warning):
+            matrix = None
+    if matrix is None or matrix.size == 0 or not np.isfinite(matrix).all():
+        return _read_checked(path, skip_header)
     return matrix
 
 

@@ -32,6 +32,7 @@ from scipy.linalg import toeplitz
 
 from .calibration import (
     DEFAULT_M2_ANCHOR,
+    M2_ANCHORS,
     CutoffRequest,
     CutoffVariant,
     calibrate,
@@ -46,7 +47,7 @@ from .core import (
     std_normal_cdf,
     sym_sqrt,
 )
-from .error_model import DEFAULT_LOGIT_VARIANCE, LimitParams, limit_values
+from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS, LimitParams, limit_values
 from .estimators import a1_hat, a2_hat, delta0_hat, delta1_hat, estimate_all
 from .exceptions import CalibrationInfeasibleError, DimensionError, SimulationError
 
@@ -86,6 +87,10 @@ class SimConfig:
             raise ValueError("reps must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if self.anchor not in M2_ANCHORS:
+            raise ValueError(f"unknown anchor {self.anchor!r}")
+        if self.logit_variance not in LOGIT_VARIANCE_CONVENTIONS:
+            raise ValueError(f"unknown logit variance convention {self.logit_variance!r}")
 
     @property
     def dims(self) -> Dims:

@@ -88,6 +88,18 @@ class TestEstimate:
         code, out, _ = run_cli(capsys, "estimate", str(with_header), f2)
         assert code == 0
 
+    @pytest.mark.parametrize("first", ["1.0,,3.0,4.0,5.0,6.0", "1.0,2.O,3.0,4.0,5.0,6.0"])
+    def test_bad_first_row_is_data_not_header(self, capsys, tmp_path, training_files, first):
+        # a first line with any numeric cell is data, so its bad cell is
+        # reported instead of the line being dropped as a header
+        _, f2, x1, _ = training_files
+        bad = tmp_path / "bad_first.csv"
+        bad.write_text(first + "\n" + "\n".join(
+            ",".join(repr(float(v)) for v in row) for row in x1) + "\n")
+        code, _, err = run_cli(capsys, "estimate", str(bad), f2)
+        assert code == 2
+        assert "row 1, column 2" in err
+
 
 class TestCalibrate:
     def test_m1_median_is_minus_u0(self, capsys, training_files):
@@ -384,6 +396,20 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "/nonexistent.csv", "/nonexistent.csv", "/nonexistent.csv"],
+        ["classify", "/nonexistent.csv", "/nonexistent.csv", "/nonexistent.csv",
+         "--method", "m1"],
+        ["calibrate", "/nonexistent.csv", "/nonexistent.csv", "--method", "m2-logit",
+         "--eu", "0.1"],
+        ["calibrate", "/nonexistent.csv", "/nonexistent.csv", "--method", "m1",
+         "--alpha", "1.5"],
+    ])
+    def test_flags_checked_before_any_file_is_read(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "data error" not in err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -289,6 +289,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             m1_config(workers=0)
 
+    @pytest.mark.parametrize("request_", [CutoffRequest.m1(0.2), CutoffRequest.m2_logit(0.2, 0.1)])
+    @pytest.mark.parametrize("knob, message", [
+        ({"anchor": "bogus"}, "unknown anchor 'bogus'"),
+        ({"logit_variance": "nope"}, "unknown logit variance convention 'nope'"),
+    ])
+    def test_calibration_knobs_outside_choices(self, request_, knob, message):
+        # rejected when the config is built, before any trial runs, on the
+        # M1 arm (which never calibrates) as on the M2 arm
+        with pytest.raises(ValueError, match=message):
+            m1_config(request=request_, **knob)
+
     def test_sampling_law_matches_sigma(self):
         # draws at a banded p = 256 design have mean mu1 and covariance
         # sigma: every entry within 6 Monte Carlo standard errors
