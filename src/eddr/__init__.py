@@ -68,6 +68,7 @@ from .exceptions import (
     DimensionError,
     EddrError,
     NotPositiveDefiniteError,
+    ScoreOverflowError,
     SimulationError,
 )
 from .simulate import (

@@ -1,17 +1,18 @@
 """Cut-off selection for the discriminant rule.
 
-Two policies are supported.  The expected-error policy ("M1") picks the
-half-scale cut-off that makes the limiting expected error equal a target
-alpha; algebraically
+Both policies take a quantile of the limiting normal law of the score:
+the half-scale cut-off whose limiting expected error is ``g`` is
 
-    c1 = sqrt(v0) * z_alpha - u0,
+    c(g) = sqrt(v0) * z_g - u0,
 
-which satisfies ``expected_error(lp, c1) == alpha`` exactly.  The
-confidence policy ("M2") instead bounds the *conditional* error by ``eu``
-with probability ``1-beta``, which leads to an adjusted percentile
-``gamma`` and the cut-off ``(-u0 + sqrt(v0) * z_gamma) / a1``.  The
-normal-scale gamma can leave (0, 1); the logit-scale variant cannot, and
-is also the documented fallback when that happens.
+so that ``expected_error(lp, c(g)) == g``.  The expected-error policy
+("M1") takes it at the target ``g = alpha``.  The confidence policy
+("M2") bounds the *conditional* error by ``eu`` with probability
+``1-beta``; that leads to an adjusted percentile ``gamma`` and the
+cut-off ``c(gamma)``.  Like the score, every cut-off scales by ``s^2``
+when the data are multiplied by ``s``.  The normal-scale gamma can leave
+(0, 1); the logit-scale variant cannot, and is also the documented
+fallback when that happens.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import Dims, std_normal_quantile
+import numpy as np
+
+from .core import TwoSampleSummary, std_normal_quantile
 from .error_model import (
     DEFAULT_LOGIT_VARIANCE,
     AsymptoticLaw,
@@ -29,7 +32,9 @@ from .error_model import (
     estimator_covariance,
     expected_error,
     limit_params,
+    limit_values,
 )
+from .estimators import a2_hat, delta0_hat, delta1_hat, estimate_all
 from .exceptions import CalibrationInfeasibleError
 
 #: Where the error law is evaluated before an M2 cut-off is extracted.
@@ -40,7 +45,8 @@ M2_ANCHORS = ("eu", "fixed-point")
 DEFAULT_M2_ANCHOR = "eu"
 
 #: The fixed-point anchor stops once the cut-off moves by at most
-#: FIXED_POINT_TOL * (1 + |c|), or after FIXED_POINT_MAX_ITER updates.
+#: FIXED_POINT_TOL * (sqrt(v0) + |c|), a bound that scales like the
+#: cut-off, or after FIXED_POINT_MAX_ITER updates.
 FIXED_POINT_MAX_ITER = 100
 FIXED_POINT_TOL = 1e-10
 
@@ -107,12 +113,16 @@ class CutoffResult:
     fell_back: bool = False
 
 
+def _quantile_cutoff(lp: LimitParams, g: float) -> float:
+    """sqrt(v0) z_g - u0: the cut-off whose limiting expected error is g."""
+    return float(math.sqrt(lp.v0) * std_normal_quantile(g) - lp.u0)
+
+
 def m1_cutoff(lp: LimitParams, alpha: float) -> CutoffResult:
     """Cut-off with limiting expected error exactly alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0,1), got {alpha}")
-    c = math.sqrt(lp.v0) * std_normal_quantile(alpha) - lp.u0
-    return CutoffResult(c=float(c), variant_used=CutoffVariant.M1)
+    return CutoffResult(c=_quantile_cutoff(lp, alpha), variant_used=CutoffVariant.M1)
 
 
 def gamma_normal(eu: float, beta: float, tau: float) -> float:
@@ -146,33 +156,26 @@ def gamma_logit(eu: float, beta: float, tau_ell: float) -> float:
     return out
 
 
-def m2_cutoff(
-    lp: LimitParams,
-    law: AsymptoticLaw,
-    req: CutoffRequest,
-    a1: float,
-) -> CutoffResult:
-    """Confidence-policy cut-off (-u0 + sqrt(v0) z_gamma) / a1.
+def m2_cutoff(lp: LimitParams, law: AsymptoticLaw, req: CutoffRequest) -> CutoffResult:
+    """Confidence-policy cut-off sqrt(v0) z_gamma - u0: the M1 formula at gamma.
 
     For ``M2_NORMAL`` requests with gamma outside (0,1) the logit variant
     is used instead and the result is flagged with ``fell_back=True``.
     gamma exactly 0 or 1 counts as out of range (its quantile is not
     defined).  The logit-scale spread rescales sqrt(tau2) by the logit
     derivative at the normal-scale gamma when that lies in (0,1), else it
-    is sqrt(tau_ell2).  The division by ``a1`` makes this cut-off degree 0
-    under data scaling x -> s x, where the M1 cut-off is degree 2.
+    is sqrt(tau_ell2).  Like the M1 cut-off, it scales by ``s^2`` under
+    data scaling x -> s x.
     """
     if req.variant == CutoffVariant.M1:
         raise ValueError("m2_cutoff expects an M2 request")
-    if not a1 > 0.0:
-        raise CalibrationInfeasibleError(f"a1 = {a1:g} must be positive")
     eu, beta = req.eu, req.beta
     gamma_n = gamma_normal(eu, beta, math.sqrt(law.tau2))
     fell_back = False
     if req.variant == CutoffVariant.M2_NORMAL:
         if 0.0 < gamma_n < 1.0:
-            c = (-lp.u0 + math.sqrt(lp.v0) * std_normal_quantile(gamma_n)) / a1
-            return CutoffResult(c=float(c), variant_used=CutoffVariant.M2_NORMAL, gamma=gamma_n)
+            return CutoffResult(c=_quantile_cutoff(lp, gamma_n),
+                                variant_used=CutoffVariant.M2_NORMAL, gamma=gamma_n)
         fell_back = True
     if 0.0 < gamma_n < 1.0:
         spread = gamma_n * (1.0 - gamma_n)
@@ -187,10 +190,8 @@ def m2_cutoff(
         raise CalibrationInfeasibleError(
             f"logit-scale percentile degenerated to {gamma:g}"
         )
-    c = (-lp.u0 + math.sqrt(lp.v0) * std_normal_quantile(gamma)) / a1
-    return CutoffResult(
-        c=float(c), variant_used=CutoffVariant.M2_LOGIT, gamma=gamma, fell_back=fell_back
-    )
+    return CutoffResult(c=_quantile_cutoff(lp, gamma), variant_used=CutoffVariant.M2_LOGIT,
+                        gamma=gamma, fell_back=fell_back)
 
 
 @dataclass(frozen=True)
@@ -200,43 +201,47 @@ class CalibrationOutcome:
     result: CutoffResult
     limit: LimitParams
     law: AsymptoticLaw | None
-    a1: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def calibrate(
-    traces,
-    deltas,
-    dims: Dims,
+    summary: TwoSampleSummary,
     request: CutoffRequest,
     logit_variance: str = DEFAULT_LOGIT_VARIANCE,
     anchor: str = DEFAULT_M2_ANCHOR,
 ) -> CalibrationOutcome:
-    """Full pipeline from plug-in estimates to a cut-off.
+    """Cut-off for ``request`` from the training data's summary.
 
-    For M2 requests the error law must be evaluated at some cut-off before
-    the adjusted percentile exists; ``anchor`` selects that point (see
-    :data:`M2_ANCHORS`).  The fixed-point option iterates law evaluation
-    and cut-off extraction until the cut-off stops moving.  The law uses
+    M1 needs only the a2, delta0 and delta1 estimates, so it works from
+    n = 2 on.  M2 needs all eight (n >= 7).  Its error law must be
+    evaluated at some cut-off before the adjusted percentile exists;
+    ``anchor`` selects that point (see :data:`M2_ANCHORS`).  The
+    fixed-point option iterates law evaluation and cut-off extraction
+    until the cut-off stops moving.  The law uses
     :func:`~eddr.error_model.estimator_covariance`, the matrix that
-    reproduces the reference simulation tables.
+    reproduces the reference simulation tables.  An estimate that
+    overflows raises :class:`CalibrationInfeasibleError` instead of a
+    numpy warning.
     """
     if anchor not in M2_ANCHORS:
         raise ValueError(f"unknown anchor {anchor!r}")
-    lp = limit_params(deltas, traces, dims)
+    dims = summary.dims
     if request.variant == CutoffVariant.M1:
-        return CalibrationOutcome(
-            result=m1_cutoff(lp, request.alpha), limit=lp, law=None, a1=traces.a1
-        )
+        lp = LimitParams(*limit_values(
+            delta0_hat(summary), delta1_hat(summary), a2_hat(summary), dims))
+        return CalibrationOutcome(result=m1_cutoff(lp, request.alpha), limit=lp, law=None)
+    traces, deltas = estimate_all(summary)
+    lp = limit_params(deltas, traces, dims)
     theta = estimator_covariance(deltas, traces, dims)
     # start where the limiting error equals the target upper bound
-    c = math.sqrt(lp.v0) * std_normal_quantile(request.eu) - lp.u0
+    c = _quantile_cutoff(lp, request.eu)
     for _ in range(1 + FIXED_POINT_MAX_ITER if anchor == "fixed-point" else 1):
         law = asymptotic_law(lp, theta, c, logit_variance=logit_variance)
-        res = m2_cutoff(lp, law, request, traces.a1)
-        if abs(res.c - c) <= FIXED_POINT_TOL * (1.0 + abs(c)):
+        res = m2_cutoff(lp, law, request)
+        if abs(res.c - c) <= FIXED_POINT_TOL * (math.sqrt(lp.v0) + abs(c)):
             break
         c = res.c
-    return CalibrationOutcome(result=res, limit=lp, law=law, a1=traces.a1)
+    return CalibrationOutcome(result=res, limit=lp, law=law)
 
 
 __all__ = [

@@ -30,7 +30,7 @@ from .calibration import (
 from .core import LabeledSample, classify, discriminant_score, pooled_summary
 from .dataio import RunManifest, format_table_value, read_matrix_csv, write_text_atomic
 from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS, limit_values
-from .estimators import estimate_all
+from .estimators import a1_hat, estimate_all
 from .exceptions import (
     CalibrationInfeasibleError,
     DataFormatError,
@@ -142,9 +142,7 @@ def cmd_estimate(args) -> int:
 def cmd_calibrate(args) -> int:
     request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
     summary = _load_training(args)
-    traces, deltas = estimate_all(summary)
-    knobs = _calibration_knobs(vars(args))
-    outcome = calibrate(traces, deltas, summary.dims, request, **knobs)
+    outcome = calibrate(summary, request, **_calibration_knobs(vars(args)))
     res = outcome.result
     if res.fell_back:
         print("note: normal-scale percentile left (0,1); used the logit variant", file=sys.stderr)
@@ -155,7 +153,7 @@ def cmd_calibrate(args) -> int:
         "fell_back": res.fell_back,
         "e0": request.alpha if request.variant == CutoffVariant.M1 else outcome.law.e0,
         "tau2": None if outcome.law is None else outcome.law.tau2,
-        "a1": outcome.a1,
+        "a1": a1_hat(summary),
         "u0": outcome.limit.u0,
         "v0": outcome.limit.v0,
     }
@@ -177,9 +175,7 @@ def cmd_classify(args) -> int:
     if args.cutoff is not None:
         c = args.cutoff
     else:
-        traces, deltas = estimate_all(summary)
-        knobs = _calibration_knobs(vars(args))
-        c = calibrate(traces, deltas, summary.dims, request, **knobs).result.c
+        c = calibrate(summary, request, **_calibration_knobs(vars(args))).result.c
     lines = []
     if query.size:
         if query.shape[1] != summary.p:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dpstrf
 from scipy.special import ndtr, ndtri
 
-from .exceptions import DimensionError, NotPositiveDefiniteError
+from .exceptions import DimensionError, NotPositiveDefiniteError, ScoreOverflowError
 
 #: Group labels used throughout.
 PI1 = 1
@@ -209,6 +209,12 @@ class TwoSampleSummary:
         """xbar1 - xbar2."""
         return self.xbar1 - self.xbar2
 
+    @property
+    def score_bias(self) -> float:
+        """(n1-n2)/(n1*n2) * tr(S), the bias of the naive score; exactly 0 when n1 = n2."""
+        n1, n2 = self.n1, self.n2
+        return 0.0 if n1 == n2 else (n1 - n2) / (n1 * n2) * float(self.t1)
+
 
 @dataclass(frozen=True)
 class NormalParams:
@@ -232,6 +238,7 @@ class NormalParams:
         return self.mu.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pooled_summary(s1: LabeledSample, s2: LabeledSample) -> TwoSampleSummary:
     """Column means of both groups and the power statistics of their pooled covariance.
 
@@ -240,7 +247,9 @@ def pooled_summary(s1: LabeledSample, s2: LabeledSample) -> TwoSampleSummary:
     ``G = C C'`` (Yata & Aoshima, JMVA 105, 2012), whose powers share
     their traces with those of ``C'C``, and with ``w = C d`` the forms are
     ``q1 = |w|^2/n``, ``q2 = w'G w/n^2`` and ``q3 = |G w|^2/n^3``.  The
-    cost is O(N^2 p + N^3) then, and O(N p^2 + p^3) when p <= N.
+    cost is O(N^2 p + N^3) then, and O(N p^2 + p^3) when p <= N.  A
+    statistic that overflows comes out infinite or NaN, as in
+    :func:`_power_stats`.
     """
     if s1.p != s2.p:
         raise DimensionError(f"groups disagree on dimension: {s1.p} vs {s2.p}")
@@ -271,20 +280,24 @@ def oracle_score(x, params1: NormalParams, params2: NormalParams) -> float:
     return float(d2 @ d2 - d1 @ d1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def discriminant_score(x, summary: TwoSampleSummary) -> float:
     """Bias-corrected sample discriminant score.
 
     |x-xbar2|^2 - |x-xbar1|^2 - (n1-n2)/(n1*n2) * tr(S); the correction
-    vanishes exactly for balanced designs.
+    vanishes exactly for balanced designs.  Raises
+    :class:`ScoreOverflowError` when a finite ``x`` gives a score outside
+    double precision.
     """
     x = _as_vector(x, "x")
     if x.shape[0] != summary.p:
         raise DimensionError("x and summary disagree on dimension")
     d2 = x - summary.xbar2
     d1 = x - summary.xbar1
-    n1, n2 = summary.n1, summary.n2
-    bias = 0.0 if n1 == n2 else (n1 - n2) / (n1 * n2) * float(summary.t1)
-    return float(d2 @ d2 - d1 @ d1) - bias
+    score = float(d2 @ d2 - d1 @ d1) - summary.score_bias
+    if not math.isfinite(score):
+        raise ScoreOverflowError(f"discriminant score is not finite ({score})")
+    return score
 
 
 def classify(x, summary: TwoSampleSummary, c: float) -> int:

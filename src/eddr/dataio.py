@@ -90,10 +90,9 @@ def _read_checked(path: str, skip_header: bool | None) -> np.ndarray:
         data.append(row)
     matrix = np.array(data, dtype=float)
     if not np.isfinite(matrix).all():
-        bad = np.argwhere(~np.isfinite(matrix))[0]
-        raise DataFormatError(
-            f"{path}: row {int(bad[0]) + 1}, column {int(bad[1]) + 1} is not finite"
-        )
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        line = rows_text[row][0]  # rows are numbered by file line, as above
+        raise DataFormatError(f"{path}: row {line + 1}, column {col + 1} is not finite")
     return matrix
 
 

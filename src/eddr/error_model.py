@@ -62,7 +62,6 @@ class LimitParams:
 
     u0: float
     v0: float
-    dims: Dims
 
     def __post_init__(self):
         if not (math.isfinite(self.u0) and math.isfinite(self.v0)):
@@ -101,8 +100,7 @@ def limit_values(d0: float, d1: float, a2: float, dims: Dims) -> tuple[float, fl
 
 def limit_params(d: DeltaEstimates, t: TraceEstimates, dims: Dims) -> LimitParams:
     """:func:`limit_values` from the estimates; rejects v0 <= 0."""
-    u0, v0 = limit_values(d.d0, d.d1, t.a2, dims)
-    return LimitParams(u0=u0, v0=v0, dims=dims)
+    return LimitParams(*limit_values(d.d0, d.d1, t.a2, dims))
 
 
 def expected_error(lp: LimitParams, c: float) -> float:
@@ -161,8 +159,9 @@ def asymptotic_law(
     ``theta`` is one of the two covariance matrices described above.
 
     Raises :class:`CalibrationInfeasibleError` when the plug-in covariance
-    is indefinite enough to make tau2 negative, when tau2 is NaN, or when
-    e0 degenerates to 0 or 1 in floating point.
+    is indefinite enough to make tau2 negative, when tau2 is not finite,
+    when v0 is too small for the gradient, or when e0 degenerates to 0 or
+    1 in floating point.
     """
     if logit_variance not in LOGIT_VARIANCE_CONVENTIONS:
         raise ValueError(f"unknown logit variance convention {logit_variance!r}")
@@ -172,11 +171,14 @@ def asymptotic_law(
     if not 0.0 < e0 < 1.0:
         raise CalibrationInfeasibleError(f"limiting error degenerates to {e0:g}")
     pdf = std_normal_pdf(w)
-    grad = np.array([pdf / sv, -(lp.u0 + c) / (2.0 * lp.v0 * sv) * pdf])
+    v_scale = 2.0 * lp.v0 * sv
+    if v_scale == 0.0:
+        raise CalibrationInfeasibleError(f"v0 = {lp.v0:g} underflows the error law's gradient")
+    grad = np.array([pdf / sv, -(lp.u0 + c) / v_scale * pdf])
     tau2 = float(grad @ theta @ grad)
-    if not tau2 >= 0.0:
+    if not 0.0 <= tau2 < math.inf:
         raise CalibrationInfeasibleError(
-            f"plug-in variance of the conditional error is negative or NaN ({tau2:g})"
+            f"plug-in variance of the conditional error is negative or not finite ({tau2:g})"
         )
     ell0 = math.log(e0 / (1.0 - e0))
     spread = (1.0 - e0) * e0

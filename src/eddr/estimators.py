@@ -36,14 +36,12 @@ from .exceptions import CalibrationInfeasibleError, DimensionError
 
 @dataclass(frozen=True)
 class TraceEstimates:
-    """Estimates of tr(Sigma^i)/p for i = 1..4, with (p, n) for provenance."""
+    """Estimates of tr(Sigma^i)/p for i = 1..4."""
 
     a1: float
     a2: float
     a3: float
     a4: float
-    p: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ def estimate_all(summary: TwoSampleSummary):
     """
     _require_n(summary.n, 7, "estimate_all")
     traces = TraceEstimates(a1=a1_hat(summary), a2=a2_hat(summary), a3=a3_hat(summary),
-                            a4=a4_hat(summary), p=summary.p, n=summary.n)
+                            a4=a4_hat(summary))
     d1 = delta1_hat(summary)
     d2 = delta2_hat(summary, traces, d1)
     d3 = delta3_hat(summary, traces, d1, d2)

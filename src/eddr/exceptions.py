@@ -26,5 +26,9 @@ class CalibrationInfeasibleError(EddrError, ArithmeticError):
     """
 
 
+class ScoreOverflowError(EddrError, ArithmeticError):
+    """A finite point has a discriminant score outside double precision."""
+
+
 class SimulationError(EddrError, RuntimeError):
     """A simulation run violated one of its own integrity checks."""

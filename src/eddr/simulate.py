@@ -9,7 +9,9 @@ the error is Phi((U + bias + c)/sqrt(V)) with
 
     U    = (xbar1-xbar2)'(xbar1-mu1) - |xbar1-xbar2|^2 / 2,
     V    = (xbar1-xbar2)' Sigma (xbar1-xbar2),
-    bias = (1/n2 - 1/n1) * p * a1_hat / 2.
+    bias = (n1-n2)/(n1*n2) * tr(S) / 2,
+
+the bias being half the score's trace correction.
 
 No test points are ever classified.  Aggregating the per-trial errors
 gives the attained error rate (for expected-error calibration) and the
@@ -30,16 +32,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .calibration import (
-    DEFAULT_M2_ANCHOR,
-    M2_ANCHORS,
-    CutoffRequest,
-    CutoffVariant,
-    calibrate,
-    m1_cutoff,
-)
+from .calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
 from .core import (
-    Dims,
     LabeledSample,
     TwoSampleSummary,
     cholesky,
@@ -47,8 +41,10 @@ from .core import (
     std_normal_cdf,
     sym_sqrt,
 )
-from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS, LimitParams, limit_values
-from .estimators import a1_hat, a2_hat, delta0_hat, delta1_hat, estimate_all
+from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS
+# not called here: the traced benchmark (perfbench/sims.py) wraps
+# eddr.simulate.estimate_all by name
+from .estimators import estimate_all  # noqa: F401
 from .exceptions import CalibrationInfeasibleError, DimensionError, SimulationError
 
 #: Separation between the group means on the squared-distance scale used
@@ -91,10 +87,6 @@ class SimConfig:
             raise ValueError(f"unknown anchor {self.anchor!r}")
         if self.logit_variance not in LOGIT_VARIANCE_CONVENTIONS:
             raise ValueError(f"unknown logit variance convention {self.logit_variance!r}")
-
-    @property
-    def dims(self) -> Dims:
-        return Dims(n1=self.n1, n2=self.n2, p=self.p)
 
 
 @dataclass(frozen=True)
@@ -161,15 +153,6 @@ class PopulationDesign:
         return cls(mu1=np.asarray(mu1, float), mu2=np.asarray(mu2, float),
                    sigma=np.asarray(sigma, float), chol=cholesky(sigma))
 
-    @classmethod
-    def from_params(cls, params1, params2) -> "PopulationDesign":
-        """Build from two NormalParams sharing one covariance matrix."""
-        if params1.sigma.shape != params2.sigma.shape or not np.array_equal(
-            params1.sigma, params2.sigma
-        ):
-            raise DimensionError("both groups must share the same covariance matrix")
-        return cls.from_sigma(params1.sigma, params1.mu, params2.mu)
-
     @property
     def p(self) -> int:
         return self.mu1.shape[0]
@@ -190,14 +173,7 @@ class ErrorInputs(NamedTuple):
 
     u: float
     v: float
-    a1: float
-    n1: int
-    n2: int
-    p: int
-
-    @property
-    def bias(self) -> float:
-        return (1.0 / self.n2 - 1.0 / self.n1) * self.p * self.a1 / 2.0
+    bias: float
 
     @property
     def u_tilde(self) -> float:
@@ -205,11 +181,11 @@ class ErrorInputs(NamedTuple):
 
 
 def error_inputs(summary: TwoSampleSummary, pop: PopulationDesign) -> ErrorInputs:
-    """U, V and the trace estimate entering the conditional-error formula."""
+    """U, V and the trace bias entering the conditional-error formula."""
     d = summary.mean_diff
     u = float(d @ (summary.xbar1 - pop.mu1)) - 0.5 * float(summary.q0)
     v = float(d @ (pop.sigma @ d))
-    return ErrorInputs(u=u, v=v, a1=a1_hat(summary), n1=summary.n1, n2=summary.n2, p=summary.p)
+    return ErrorInputs(u=u, v=v, bias=summary.score_bias / 2.0)
 
 
 def conditional_error(err: ErrorInputs, c: float) -> float:
@@ -220,10 +196,8 @@ def conditional_error(err: ErrorInputs, c: float) -> float:
 def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator) -> TrialRecord:
     """One full trial: sample, calibrate, and evaluate the conditional error.
 
-    The expected-error (M1) cut-off needs only a2, delta0 and delta1, so
-    that arm skips the other estimates and their n >= 7 requirement.  Raises
-    :class:`CalibrationInfeasibleError` when the drawn data do not admit
-    the requested cut-off; the driver counts such trials separately.
+    Raises :class:`CalibrationInfeasibleError` when the drawn data do not
+    admit the requested cut-off; the driver counts such trials separately.
     """
     x1 = pop.sample_group(pop.mu1, cfg.n1, rng)
     x2 = pop.sample_group(pop.mu2, cfg.n2, rng)
@@ -231,31 +205,16 @@ def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator) -
         LabeledSample(observations=x1, group=1),
         LabeledSample(observations=x2, group=2),
     )
-    if cfg.request.variant == CutoffVariant.M1:
-        u0, v0 = limit_values(delta0_hat(summary), delta1_hat(summary), a2_hat(summary), cfg.dims)
-        c = m1_cutoff(LimitParams(u0=u0, v0=v0, dims=cfg.dims), cfg.request.alpha).c
-        fell_back = False
-    else:
-        traces, deltas = estimate_all(summary)
-        outcome = calibrate(
-            traces,
-            deltas,
-            cfg.dims,
-            cfg.request,
-            logit_variance=cfg.logit_variance,
-            anchor=cfg.anchor,
-        )
-        c = outcome.result.c
-        fell_back = outcome.result.fell_back
-    err = error_inputs(summary, pop)
-    ce = conditional_error(err, c)
+    res = calibrate(summary, cfg.request, logit_variance=cfg.logit_variance,
+                    anchor=cfg.anchor).result
+    ce = conditional_error(error_inputs(summary, pop), res.c)
     # an extreme trial can underflow the error probability to 0.0 or 1.0 in
     # double precision; the mathematical value is strictly interior
     if ce <= 0.0:
         ce = math.nextafter(0.0, 1.0)
     elif ce >= 1.0:
         ce = math.nextafter(1.0, 0.0)
-    return TrialRecord(cond_error=ce, cutoff=c, fell_back=fell_back)
+    return TrialRecord(cond_error=ce, cutoff=res.c, fell_back=res.fell_back)
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:

@@ -92,13 +92,12 @@ def test_criterion_04_confidence_table_banded_cell():
 
 def test_criterion_05_expected_error_cutoff_is_algebraically_exact():
     rng = np.random.default_rng(1905)
-    dims = Dims(16, 16, 8)
     worst = 0.0
     for _ in range(1000):
         u0 = rng.uniform(-5.0, 5.0)
         v0 = rng.uniform(0.1, 25.0)
         alpha = rng.uniform(0.001, 0.999)
-        lp = LimitParams(u0=u0, v0=v0, dims=dims)
+        lp = LimitParams(u0=u0, v0=v0)
         c = m1_cutoff(lp, alpha).c
         worst = max(worst, abs(std_normal_cdf((u0 + c) / math.sqrt(v0)) - alpha))
     report(5, worst <= 1e-12, f"max |achieved - alpha| = {worst:.2e} over 1000 triples")

@@ -16,7 +16,7 @@ from eddr.calibration import (
     m1_cutoff,
     m2_cutoff,
 )
-from eddr.core import Dims, std_normal_cdf
+from eddr.core import Dims, LabeledSample, pooled_summary, std_normal_cdf
 from eddr.error_model import (
     LimitParams,
     asymptotic_law,
@@ -24,8 +24,7 @@ from eddr.error_model import (
     expected_error,
     limit_params,
 )
-from eddr.estimators import DeltaEstimates, TraceEstimates
-from eddr.exceptions import CalibrationInfeasibleError
+from eddr.estimators import estimate_all
 
 # high-precision references (30-digit arithmetic)
 M1_EXAMPLE_C = -0.0631031310892009339302066589
@@ -75,15 +74,15 @@ class TestRequests:
 
 class TestM1:
     def test_median_target(self):
-        lp = LimitParams(u0=-2.5, v0=4.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=4.0)
         assert m1_cutoff(lp, 0.5).c == pytest.approx(2.5)
 
     def test_hand_example(self):
-        lp = LimitParams(u0=-2.5, v0=4.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=4.0)
         assert m1_cutoff(lp, 0.1).c == pytest.approx(M1_EXAMPLE_C, abs=1e-9)
 
     def test_strictly_increasing_in_alpha(self):
-        lp = LimitParams(u0=-2.5, v0=4.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=4.0)
         cuts = [m1_cutoff(lp, a).c for a in np.linspace(0.01, 0.99, 21)]
         assert all(b > a for a, b in zip(cuts, cuts[1:]))
 
@@ -92,12 +91,12 @@ class TestM1:
             u0 = rng.uniform(-5, 5)
             v0 = rng.uniform(0.1, 25.0)
             alpha = rng.uniform(0.001, 0.999)
-            lp = LimitParams(u0=u0, v0=v0, dims=DIMS)
+            lp = LimitParams(u0=u0, v0=v0)
             c = m1_cutoff(lp, alpha).c
             assert abs(std_normal_cdf((u0 + c) / math.sqrt(v0)) - alpha) <= 1e-12
 
     def test_alpha_domain(self):
-        lp = LimitParams(u0=0.0, v0=1.0, dims=DIMS)
+        lp = LimitParams(u0=0.0, v0=1.0)
         with pytest.raises(ValueError):
             m1_cutoff(lp, 1.0)
 
@@ -148,105 +147,95 @@ class TestGammaFormulas:
 
 class TestM2:
     def test_unit_a1_matches_m1_shape(self):
-        # with a1 = 1 the cut-off is the m1 formula evaluated at gamma
-        lp = LimitParams(u0=-2.5, v0=9.0, dims=DIMS)
+        # the cut-off is the m1 formula evaluated at gamma
+        lp = LimitParams(u0=-2.5, v0=9.0)
         law = law_with(tau2=0.05**2)
         req = CutoffRequest.m2_normal(0.2, 0.05)
-        res = m2_cutoff(lp, law, req, a1=1.0)
+        res = m2_cutoff(lp, law, req)
         assert res.variant_used == CutoffVariant.M2_NORMAL
         assert res.gamma == pytest.approx(GAMMA_NORMAL_EXAMPLE, abs=1e-9)
         assert res.c == pytest.approx(m1_cutoff(lp, res.gamma).c, rel=1e-12)
         assert res.c == pytest.approx(M2_EXAMPLE_C, abs=1e-8)
 
-    def test_a1_divides(self):
-        lp = LimitParams(u0=-2.5, v0=9.0, dims=DIMS)
-        law = law_with(tau2=0.05**2)
-        req = CutoffRequest.m2_normal(0.2, 0.05)
-        res1 = m2_cutoff(lp, law, req, a1=1.0)
-        res2 = m2_cutoff(lp, law, req, a1=2.0)
-        assert res2.c == pytest.approx(res1.c / 2.0, rel=1e-12)
-
     def test_normal_falls_back_when_out_of_range(self):
-        lp = LimitParams(u0=-2.5, v0=9.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=9.0)
         # eu = 0.1, beta = 0.01, tau = 0.1: gamma < 0 -> logit route
         law = law_with(tau2=0.1**2, e0=0.1)
         req = CutoffRequest.m2_normal(0.1, 0.01)
-        res = m2_cutoff(lp, law, req, a1=1.0)
+        res = m2_cutoff(lp, law, req)
         assert res.fell_back
         assert res.variant_used == CutoffVariant.M2_LOGIT
         assert 0.0 < res.gamma < 1.0
 
     def test_logit_never_falls_back(self, rng):
-        lp = LimitParams(u0=-2.5, v0=9.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=9.0)
         for _ in range(100):
             law = law_with(tau2=rng.uniform(1e-6, 4.0), e0=rng.uniform(0.01, 0.99))
             req = CutoffRequest.m2_logit(rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.5))
-            res = m2_cutoff(lp, law, req, a1=1.0)
+            res = m2_cutoff(lp, law, req)
             assert not res.fell_back
             assert res.variant_used == CutoffVariant.M2_LOGIT
 
     def test_normal_fallback_iff_gamma_out_of_range(self, rng):
-        lp = LimitParams(u0=-2.5, v0=9.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=9.0)
         for _ in range(200):
             tau = rng.uniform(0.0, 0.3)
             eu = rng.uniform(0.02, 0.5)
             beta = rng.uniform(0.01, 0.5)
             law = law_with(tau2=tau**2, e0=eu)
-            res = m2_cutoff(lp, law, CutoffRequest.m2_normal(eu, beta), a1=1.0)
+            res = m2_cutoff(lp, law, CutoffRequest.m2_normal(eu, beta))
             g = gamma_normal(eu, beta, tau)
             assert res.fell_back == (not 0.0 < g < 1.0)
 
     def test_cutoff_monotone_in_confidence(self):
         # raising the confidence level (lowering beta) lowers the cut-off
-        lp = LimitParams(u0=-2.5, v0=9.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=9.0)
         cuts = []
         for beta in (0.2, 0.1, 0.05, 0.02, 0.01):
             law = law_with(tau2=0.04**2)
-            res = m2_cutoff(lp, law, CutoffRequest.m2_normal(0.2, beta), a1=1.0)
+            res = m2_cutoff(lp, law, CutoffRequest.m2_normal(0.2, beta))
             cuts.append(res.c)
         assert all(b <= a for a, b in zip(cuts, cuts[1:]))
 
-    def test_nonpositive_a1_rejected(self):
-        lp = LimitParams(u0=-2.5, v0=9.0, dims=DIMS)
-        law = law_with(tau2=0.01)
-        with pytest.raises(CalibrationInfeasibleError):
-            m2_cutoff(lp, law, CutoffRequest.m2_normal(0.2, 0.05), a1=0.0)
-
     def test_m1_request_rejected(self):
-        lp = LimitParams(u0=-2.5, v0=9.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=9.0)
         with pytest.raises(ValueError):
-            m2_cutoff(lp, law_with(tau2=0.01), CutoffRequest.m1(0.1), a1=1.0)
+            m2_cutoff(lp, law_with(tau2=0.01), CutoffRequest.m1(0.1))
 
 
 class TestCalibrate:
     def setup_method(self):
-        self.t = TraceEstimates(a1=1.0, a2=1.0, a3=1.0, a4=1.0, p=64, n=62)
-        self.d = DeltaEstimates(d0=5.0, d1=5.0, d2=5.0, d3=5.0)
+        rng = np.random.default_rng(20240517)
+        p = DIMS.p
+        x1 = rng.standard_normal((DIMS.n1, p)) + np.sqrt(5.0 / p)
+        x2 = rng.standard_normal((DIMS.n2, p))
+        self.summary = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+        self.t, self.d = estimate_all(self.summary)
 
     def test_m1_route(self):
-        out = calibrate(self.t, self.d, DIMS, CutoffRequest.m1(0.3))
+        out = calibrate(self.summary, CutoffRequest.m1(0.3))
         assert out.law is None
-        lp = limit_params(self.d, self.t, DIMS)
-        assert expected_error(lp, out.result.c) == pytest.approx(0.3, abs=1e-12)
+        assert out.limit == limit_params(self.d, self.t, DIMS)
+        assert expected_error(out.limit, out.result.c) == pytest.approx(0.3, abs=1e-12)
 
     def test_m2_route_reports_law(self):
-        out = calibrate(self.t, self.d, DIMS, CutoffRequest.m2_logit(0.2, 0.1))
+        out = calibrate(self.summary, CutoffRequest.m2_logit(0.2, 0.1))
         assert out.law is not None
+        assert out.limit == limit_params(self.d, self.t, DIMS)
         assert out.law.e0 == pytest.approx(0.2, abs=1e-12)  # anchored at the bound
-        assert out.a1 == 1.0
         assert 0.0 < out.result.gamma < 0.2
+        assert out.result.c == m1_cutoff(out.limit, out.result.gamma).c
 
     def test_fixed_point_converges(self):
-        out_eu = calibrate(self.t, self.d, DIMS, CutoffRequest.m2_normal(0.2, 0.1), anchor="eu")
-        out_fp = calibrate(
-            self.t, self.d, DIMS, CutoffRequest.m2_normal(0.2, 0.1), anchor="fixed-point"
-        )
+        req = CutoffRequest.m2_normal(0.2, 0.1)
+        out_eu = calibrate(self.summary, req, anchor="eu")
+        out_fp = calibrate(self.summary, req, anchor="fixed-point")
         # the self-consistent cut-off is less conservative here
         assert out_fp.result.c > out_eu.result.c
         lp = limit_params(self.d, self.t, DIMS)
         theta = estimator_covariance(self.d, self.t, DIMS)
         law = asymptotic_law(lp, theta, out_fp.result.c)
-        res = m2_cutoff(lp, law, CutoffRequest.m2_normal(0.2, 0.1), 1.0)
+        res = m2_cutoff(lp, law, req)
         assert res.c == pytest.approx(out_fp.result.c, rel=1e-8)
 
     def test_fixed_point_stops_after_101_law_evaluations(self, monkeypatch):
@@ -258,19 +247,19 @@ class TestCalibrate:
             calls.append(c)
             return asymptotic_law(lp, theta, c, logit_variance)
 
-        def drifting_cutoff(lp, law, req, a1):  # never self-consistent
-            res = m2_cutoff(lp, law, req, a1)
+        def drifting_cutoff(lp, law, req):  # never self-consistent
+            res = m2_cutoff(lp, law, req)
             return CutoffResult(c=calls[-1] + 1e-3, variant_used=res.variant_used, gamma=res.gamma)
 
         monkeypatch.setattr(cal, "asymptotic_law", counting_law)
         monkeypatch.setattr(cal, "m2_cutoff", drifting_cutoff)
         req = CutoffRequest.m2_normal(0.2, 0.1)
-        calibrate(self.t, self.d, DIMS, req, anchor="fixed-point")
+        calibrate(self.summary, req, anchor="fixed-point")
         assert len(calls) == 1 + cal.FIXED_POINT_MAX_ITER == 101
         calls.clear()
-        calibrate(self.t, self.d, DIMS, req)
+        calibrate(self.summary, req)
         assert len(calls) == 1
 
     def test_unknown_anchor_rejected(self):
         with pytest.raises(ValueError):
-            calibrate(self.t, self.d, DIMS, CutoffRequest.m2_normal(0.2, 0.1), anchor="nope")
+            calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1), anchor="nope")

@@ -1,19 +1,25 @@
 """Command-line interface: parsing, outputs, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eddr
 from eddr.calibration import CutoffRequest, calibrate
 from eddr.cli import main
 from eddr.core import LabeledSample, discriminant_score, pooled_summary
 from eddr.dataio import read_matrix_csv
-from eddr.estimators import estimate_all
 
 
 @pytest.fixture
@@ -158,14 +164,33 @@ class TestCalibrate:
         payload = json.loads(out)
         summary = pooled_summary(LabeledSample(read_matrix_csv(f1), 1),
                                  LabeledSample(read_matrix_csv(f2), 2))
-        traces, deltas = estimate_all(summary)
         request = CutoffRequest.m2_normal(0.3, 0.1)
-        lib = calibrate(traces, deltas, summary.dims, request,
-                        logit_variance="plain", anchor="fixed-point")
+        lib = calibrate(summary, request, logit_variance="plain", anchor="fixed-point")
         assert payload["c"] == lib.result.c
         assert payload["gamma"] == lib.result.gamma
         assert payload["tau2"] == lib.law.tau2
-        assert lib.result.c != calibrate(traces, deltas, summary.dims, request).result.c
+        assert lib.result.c != calibrate(summary, request).result.c
+
+    def test_m1_works_below_the_m2_sample_size(self, capsys, tmp_path, rng):
+        # n1 = n2 = 3 (n = 4): M1 needs only a2, delta0 and delta1; M2 needs n >= 7
+        x1, x2 = rng.standard_normal((3, 10)) + 1.0, rng.standard_normal((3, 10))
+        paths = []
+        for name, x in (("small1.csv", x1), ("small2.csv", x2)):
+            np.savetxt(tmp_path / name, x, delimiter=",")
+            paths.append(str(tmp_path / name))
+        code, out, err = run_cli(capsys, "calibrate", *paths, "--method", "m1", "--alpha", "0.2")
+        assert code == 0, err
+        summary = pooled_summary(LabeledSample(read_matrix_csv(paths[0]), 1),
+                                 LabeledSample(read_matrix_csv(paths[1]), 2))
+        assert json.loads(out)["c"] == calibrate(summary, CutoffRequest.m1(0.2)).result.c
+        code, out, err = run_cli(capsys, "classify", *paths, paths[0],
+                                 "--method", "m1", "--alpha", "0.2")
+        assert code == 0, err
+        assert len(out.splitlines()) == 3
+        code, _, err = run_cli(capsys, "calibrate", *paths, "--method", "m2-logit",
+                               "--eu", "0.2", "--beta", "0.1")
+        assert code == 2
+        assert "n >= 7" in err
 
 
 class TestClassify:
@@ -442,7 +467,7 @@ class TestScaledData:
 
     @pytest.mark.parametrize("command", [
         ["estimate"],
-        ["calibrate", "--method", "m1", "--alpha", "0.1"],
+        ["calibrate", "--method", "m2-logit", "--eu", "0.1", "--beta", "0.05"],
     ])
     def test_overflow_exits_3_without_traceback(self, tmp_path, rng, command):
         # finite entries, but (tr S)^4 exceeds the double range at p = 40
@@ -456,3 +481,78 @@ class TestScaledData:
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "not finite" in proc.stderr
+
+    def test_m1_needs_no_fourth_power(self, capsys, tmp_path, rng):
+        # the data above: M1 reads only a2, delta0 and delta1, which stay finite
+        x1 = rng.standard_normal((12, 40)) + 0.5
+        x2 = rng.standard_normal((12, 40))
+        f1, f2 = self.scaled_files(tmp_path, x1, x2, 1e38)
+        code, out, err = run_cli(capsys, "calibrate", f1, f2, "--method", "m1", "--alpha", "0.1")
+        assert code == 0, err
+        assert math.isfinite(json.loads(out)["c"])
+
+    def test_score_overflow_exits_3(self, capsys, tmp_path, training_files):
+        # a finite query row whose squared distances overflow to inf - inf
+        f1, f2, *_ = training_files
+        query = tmp_path / "huge.csv"
+        query.write_text("1.0,1.0,1.0,1.0,1.0,1.0\n" + ",".join(["1e200"] * 6) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "classify", f1, f2, str(query), "--cutoff", "0.5")
+        assert code == 3
+        assert "eddr: error: discriminant score is not finite" in err
+
+
+# -- robustness: every finite input gives finite output or a typed exit ---------
+
+_COMMANDS = [
+    ["estimate"],
+    ["estimate", "--format", "csv"],
+    ["calibrate", "--method", "m1", "--alpha", "0.1"],
+    ["calibrate", "--method", "m2-normal", "--eu", "0.2", "--beta", "0.1"],
+    ["calibrate", "--method", "m2-logit", "--eu", "0.2", "--beta", "0.1"],
+    ["calibrate", "--method", "m2-logit", "--eu", "0.2", "--beta", "0.1",
+     "--anchor", "fixed-point"],
+    ["classify", "--cutoff", "0.5"],
+    ["classify", "--method", "m1", "--alpha", "0.1"],
+    ["classify", "--method", "m2-logit", "--eu", "0.2", "--beta", "0.1"],
+]
+_NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
+
+
+def _csv(a):
+    return "".join(",".join(map(repr, row)) + "\n" for row in a.tolist())
+
+
+@pytest.fixture(scope="module")
+def robustness_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("robustness")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(2, 9), n2=st.integers(2, 9),
+       p=st.integers(1, 12), scale_exp=st.integers(-600, 600),
+       query_exp=st.integers(-300, 300), command=st.sampled_from(_COMMANDS))
+def test_finite_inputs_give_finite_output_or_a_typed_exit(
+    robustness_dir, seed, n1, n2, p, scale_exp, query_exp, command
+):
+    rng = np.random.default_rng(seed)
+    scale = 2.0**scale_exp
+    paths = [str(robustness_dir / name) for name in ("g1.csv", "g2.csv", "query.csv")]
+    for path, x in zip(paths, (scale * (rng.standard_normal((n1, p)) + 1.0),
+                               scale * rng.standard_normal((n2, p)),
+                               10.0**query_exp * rng.standard_normal((3, p)))):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_csv(x))
+    files = paths if command[0] == "classify" else paths[:2]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command[0], *files, *command[1:]])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert not _NON_FINITE.search(out), out
+    else:
+        assert code in (2, 3), err
+        assert err.startswith("eddr: "), err

@@ -158,6 +158,7 @@ def test_first_line_with_a_number_is_data(tmp_path, text, message):
     ("1,2\n3,oops\n", "row 2, column 2: not a number: 'oops'"),
     ("1,2\n3\n", "row 2 has 1 columns, expected 2"),
     ("1,2\n3,inf\n", "row 2, column 2 is not finite"),
+    ("c1,c2\n\n1,2\ninf,3\n", "row 4, column 1 is not finite"),
     ("1,2\n3,4,\n", "row 2, column 3 is empty"),
 ])
 def test_diagnostics(tmp_path, text, message):

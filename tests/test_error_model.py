@@ -27,8 +27,8 @@ PHI_M125 = 0.105649773666855257688772764026
 DIMS = Dims(n1=32, n2=32, p=64)
 
 
-def traces(a1=1.0, a2=1.0, a3=1.0, a4=1.0, p=64, n=62):
-    return TraceEstimates(a1=a1, a2=a2, a3=a3, a4=a4, p=p, n=n)
+def traces(a1=1.0, a2=1.0, a3=1.0, a4=1.0):
+    return TraceEstimates(a1=a1, a2=a2, a3=a3, a4=a4)
 
 
 def deltas(d0=5.0, d1=5.0, d2=5.0, d3=5.0):
@@ -51,20 +51,20 @@ class TestLimitParams:
 
     def test_no_silent_clamp(self):
         with pytest.raises(CalibrationInfeasibleError):
-            LimitParams(u0=0.0, v0=0.0, dims=DIMS)
+            LimitParams(u0=0.0, v0=0.0)
 
 
 class TestExpectedError:
     def test_centered(self):
-        lp = LimitParams(u0=-2.5, v0=4.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=4.0)
         assert expected_error(lp, 2.5) == pytest.approx(0.5, abs=1e-14)
 
     def test_hand_value(self):
-        lp = LimitParams(u0=-2.5, v0=4.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=4.0)
         assert expected_error(lp, 0.0) == pytest.approx(PHI_M125, abs=1e-12)
 
     def test_monotone_in_cutoff(self):
-        lp = LimitParams(u0=-2.5, v0=4.0, dims=DIMS)
+        lp = LimitParams(u0=-2.5, v0=4.0)
         vals = [expected_error(lp, c) for c in np.linspace(-3, 3, 25)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -92,7 +92,7 @@ class TestAsymptoticLaw:
         # design with h_u = h_v = s and h_uv = 0
         dims = Dims(n1=4, n2=4, p=1)
         s_val = 0.5
-        t = TraceEstimates(a1=1.0, a2=0.0, a3=0.0, a4=0.0, p=1, n=6)
+        t = TraceEstimates(a1=1.0, a2=0.0, a3=0.0, a4=0.0)
         d = DeltaEstimates(d0=2.0, d1=4 * s_val, d2=0.0, d3=s_val / 2)
         lp = limit_params(d, t, dims)
         law = asymptotic_law(lp, statistic_covariance(d, t, dims), c=0.3)
@@ -207,7 +207,7 @@ class TestThetaSources:
         se = float(((d0 - d0.mean()) * (d1 - d1.mean())).std(ddof=1)) / np.sqrt(draws) / 2.0
         a = [float(np.mean(lam**k)) for k in range(1, 5)]
         delta = [float(mu @ (lam**k * mu)) for k in range(4)]
-        theta = estimator_covariance(DeltaEstimates(*delta), TraceEstimates(*a, p=p, n=n), dims)
+        theta = estimator_covariance(DeltaEstimates(*delta), TraceEstimates(*a), dims)
         assert abs(theta[0, 1] - emp) < 5 * se
 
     def test_estimator_variance_dominates(self):

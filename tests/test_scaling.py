@@ -9,10 +9,10 @@ degree, not of rounding.
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eddr.calibration import CutoffRequest, calibrate
+from eddr.calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
 from eddr.core import LabeledSample, pooled_summary
 from eddr.error_model import estimator_covariance
 from eddr.estimators import estimate_all
@@ -28,23 +28,26 @@ designs = st.tuples(
 scales = st.one_of(st.integers(-30, -1), st.integers(1, 30)).map(lambda k: 2.0**k)
 
 
-def estimates(design, s):
+def summary_of(design, s):
     seed, n1, n2, p = design
     rng = np.random.default_rng(seed)
     x1 = rng.standard_normal((n1, p)) + np.sqrt(5.0 / p)
     x2 = rng.standard_normal((n2, p))
-    summary = pooled_summary(LabeledSample(s * x1, 1), LabeledSample(s * x2, 2))
+    return pooled_summary(LabeledSample(s * x1, 1), LabeledSample(s * x2, 2))
+
+
+def estimates(design, s):
+    summary = summary_of(design, s)
     return summary.dims, *estimate_all(summary)
 
 
-def calibrated(design, s, request):
-    dims, traces, deltas = estimates(design, s)
-    return calibrate(traces, deltas, dims, request)
+def calibrated(design, s, request, anchor=DEFAULT_M2_ANCHOR):
+    return calibrate(summary_of(design, s), request, anchor=anchor)
 
 
-def feasible(design, request):
+def feasible(design, request, anchor=DEFAULT_M2_ANCHOR):
     try:
-        return calibrated(design, 1.0, request)
+        return calibrated(design, 1.0, request, anchor)
     except CalibrationInfeasibleError:
         assume(False)
 
@@ -87,14 +90,11 @@ def test_m1_cutoff_scales_by_s2(design, s):
     assert calibrated(design, s, request).result.c == pytest.approx(s**2 * base.result.c, rel=REL)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND: the M2 cut-off (-u0 + sqrt(v0) z_γ)/a1 in calibration.m2_cutoff has "
-    "degree 0 under data scaling, not 2 (CHANGES.md)",
-)
-@settings(DETERMINISTIC, phases=[Phase.generate])  # the failure is known; do not shrink it
+@pytest.mark.parametrize("anchor", M2_ANCHORS)
+@DETERMINISTIC
 @given(designs, scales)
-def test_m2_cutoff_scales_by_s2(design, s):
+def test_m2_cutoff_scales_by_s2(anchor, design, s):
     request = CutoffRequest.m2_logit(0.2, 0.1)
-    base = feasible(design, request)
-    assert calibrated(design, s, request).result.c == pytest.approx(s**2 * base.result.c, rel=REL)
+    base = feasible(design, request, anchor)
+    scaled = calibrated(design, s, request, anchor)
+    assert scaled.result.c == pytest.approx(s**2 * base.result.c, rel=REL)

@@ -9,7 +9,7 @@ import eddr.simulate as sim
 from eddr.calibration import CutoffRequest
 from eddr.core import Dims, LabeledSample, pooled_summary
 from eddr.error_model import limit_params
-from eddr.estimators import estimate_all
+from eddr.estimators import a1_hat, estimate_all
 from eddr.exceptions import (
     CalibrationInfeasibleError,
     NotPositiveDefiniteError,
@@ -17,7 +17,6 @@ from eddr.exceptions import (
 )
 from eddr.simulate import (
     DESIGN_SEPARATION,
-    PopulationDesign,
     SimConfig,
     TrialRecord,
     attained_confidence_level,
@@ -102,9 +101,11 @@ class TestTrialMechanics:
         pop = make_population(m1_config())
         x1 = pop.sample_group(pop.mu1, 10, rng)
         x2 = pop.sample_group(pop.mu2, 6, rng)
-        err = error_inputs(summary_of(x1, x2), pop)
-        expected = (1 / 6 - 1 / 10) * 8 * err.a1 / 2
+        summary = summary_of(x1, x2)
+        err = error_inputs(summary, pop)
+        expected = (1 / 6 - 1 / 10) * 8 * a1_hat(summary) / 2
         assert err.bias == pytest.approx(expected, rel=1e-12)
+        assert err.bias == summary.score_bias / 2  # half the score's correction
 
     def test_conditional_error_matches_brute_force(self, rng):
         # the score of a fresh point is linear in the point, hence exactly
@@ -126,7 +127,7 @@ class TestTrialMechanics:
         assert abs(empirical - analytic) < 4 * se
 
     def test_m1_fast_path_matches_full_pipeline(self):
-        # the M1 arm of run_trial reads four estimates instead of calibrating
+        # run_trial's M1 cut-off is the one built from all eight estimates
         from eddr.calibration import m1_cutoff
 
         for p in (10, 40):  # N = 21: primal and dual statistics
@@ -253,29 +254,6 @@ class TestLogitVariantIsConservative:
                 assert acl.value + 3 * acl.se >= 1 - beta, (beta, eu, acl)
 
 
-class TestPopulationFromParams:
-    def test_matches_sigma_construction(self):
-        from eddr.core import NormalParams
-
-        sigma = band_sigma(6, 0.3)
-        mu1, mu2 = design_means(sigma)
-        via_params = PopulationDesign.from_params(
-            NormalParams(mu1, sigma), NormalParams(mu2, sigma)
-        )
-        via_sigma = PopulationDesign.from_sigma(sigma, mu1, mu2)
-        assert np.array_equal(via_params.chol, via_sigma.chol)
-
-    def test_distinct_covariances_rejected(self):
-        from eddr.core import NormalParams
-        from eddr.exceptions import DimensionError
-
-        with pytest.raises(DimensionError):
-            PopulationDesign.from_params(
-                NormalParams(np.zeros(3), np.eye(3)),
-                NormalParams(np.zeros(3), 2 * np.eye(3)),
-            )
-
-
 class TestConfigValidation:
     def test_bad_reps(self):
         with pytest.raises(ValueError):
@@ -295,8 +273,8 @@ class TestConfigValidation:
         ({"logit_variance": "nope"}, "unknown logit variance convention 'nope'"),
     ])
     def test_calibration_knobs_outside_choices(self, request_, knob, message):
-        # rejected when the config is built, before any trial runs, on the
-        # M1 arm (which never calibrates) as on the M2 arm
+        # rejected when the config is built, before any trial runs, for
+        # M1 as for M2 requests
         with pytest.raises(ValueError, match=message):
             m1_config(request=request_, **knob)
 

@@ -1,0 +1,57 @@
+"""The traced benchmark's wrappers still find every eddr attribute they wrap.
+
+``perfbench/run.py --trace 1`` replaces eddr functions by name (see
+``perfbench/sims.py`` and ``perfbench/tracing.py``); a rename in eddr
+would break it, so this installs both sets of wrappers and restores them.
+"""
+
+import os
+import sys
+
+import numpy as np
+import pytest
+
+import eddr.calibration
+import eddr.cli
+import eddr.simulate
+from eddr.calibration import CutoffRequest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture
+def perfbench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import sims
+    import tracing
+
+    return sims, tracing
+
+
+def _attributes():
+    owners = (eddr.simulate, eddr.simulate.PopulationDesign, eddr.cli, eddr.calibration)
+    return {(owner, name): value for owner in owners for name, value in vars(owner).items()}
+
+
+def test_trace_wrappers_install_and_restore(perfbench_modules):
+    sims, tracing = perfbench_modules
+    before = _attributes()
+    tracer = tracing.Tracer()
+    try:
+        sims._install_trial_wrappers(tracer)
+        tracing.install_cli_wrappers(tracer)
+        assert _attributes() != before
+        for request in (CutoffRequest.m1(0.2), CutoffRequest.m2_logit(0.2, 0.1)):
+            cfg = eddr.simulate.SimConfig(p=8, n1=8, n2=8, rho=0.0, reps=1, seed=3,
+                                          request=request)
+            pop = eddr.simulate.make_population(cfg)
+            eddr.simulate.run_trial(cfg, pop, np.random.default_rng(1))
+    finally:
+        tracer.restore()
+    assert _attributes() == before
+    names = {span.name for span in tracer.finished()}
+    assert {"simulate.run_trial", "simulate.sample_group", "core.pooled_summary",
+            "calibration.calibrate", "error_model.asymptotic_law",
+            "simulate.error_inputs", "simulate.conditional_error"} <= names
+    ok, detail = tracing.check_closure(tracer.finished(), "simulate.run_trial")
+    assert ok, detail
