@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -170,6 +171,8 @@ def cmd_classify(args) -> int:
         if args.method is None:
             raise UsageError("classify needs either --cutoff or --method with its parameters")
         request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
+    elif not math.isfinite(args.cutoff):
+        raise UsageError(f"--cutoff must be finite, got {args.cutoff}")
     summary = _load_training(args)
     query = read_matrix_csv(args.query, skip_header=args.skip_header or None)
     if args.cutoff is not None:
@@ -281,6 +284,16 @@ def cmd_simulate(args) -> int:
     bandwidth = settings.get("bandwidth", 50)
     workers = settings.get("workers", int(os.environ.get("EDDR_WORKERS", "1")))
     out_prefix = settings.get("out", "simulation")
+    # every cell is validated before the first one runs
+    configs = [
+        SimConfig(
+            p=p, n1=n1, n2=n2, rho=rho, bandwidth=bandwidth,
+            reps=settings["reps"], seed=settings["seed"], request=request,
+            workers=workers, **knobs,
+        )
+        for n1, n2 in cells_n
+        for p in p_values
+    ]
 
     manifest = RunManifest(
         command="simulate",
@@ -290,26 +303,20 @@ def cmd_simulate(args) -> int:
     manifest.mark_started()
 
     cells = []
-    for n1, n2 in cells_n:
-        for p in p_values:
-            cfg = SimConfig(
-                p=p, n1=n1, n2=n2, rho=rho, bandwidth=bandwidth,
-                reps=settings["reps"], seed=settings["seed"], request=request,
-                workers=workers, **knobs,
-            )
-            result = run_simulation(cfg)
-            ae = attained_error_rate(result.records)
-            cell = {
-                "n_total": n1 + n2, "n1": n1, "n2": n2, "p": p,
-                "ae": ae.value, "ae_se": ae.se,
-                "excluded": result.n_excluded,
-                "fell_back": result.n_fell_back,
-            }
-            if request.variant != CutoffVariant.M1:
-                acl = attained_confidence_level(result.records, request.eu)
-                cell["acl"] = acl.value
-                cell["acl_se"] = acl.se
-            cells.append(cell)
+    for cfg in configs:
+        result = run_simulation(cfg)
+        ae = attained_error_rate(result.records)
+        cell = {
+            "n_total": cfg.n1 + cfg.n2, "n1": cfg.n1, "n2": cfg.n2, "p": cfg.p,
+            "ae": ae.value, "ae_se": ae.se,
+            "excluded": result.n_excluded,
+            "fell_back": result.n_fell_back,
+        }
+        if request.variant != CutoffVariant.M1:
+            acl = attained_confidence_level(result.records, request.eu)
+            cell["acl"] = acl.value
+            cell["acl_se"] = acl.se
+        cells.append(cell)
 
     value_key = "ae" if request.variant == CutoffVariant.M1 else "acl"
     csv_lines = ["N," + ",".join(f"p={p}" for p in p_values)]

@@ -13,11 +13,10 @@ threshold applied to the score is ``2*c`` (see :func:`classify`).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
-from scipy.special import ndtr, ndtri
 
 from .exceptions import DimensionError, NotPositiveDefiniteError, ScoreOverflowError
 
@@ -75,7 +74,7 @@ def _check_symmetric(a: np.ndarray, name: str, rtol: float = _SYM_RTOL) -> None:
 def _check_psd(a: np.ndarray, name: str) -> None:
     """Reject matrices with pivots below ``-1e-10 * tr(a)/p``.
 
-    Uses a pivoted Cholesky factorization on a copy shifted by twice the
+    Uses a Cholesky factorization of a copy shifted by twice the
     tolerance: positive semidefiniteness within tolerance is equivalent to
     the shifted matrix factorizing completely.
     """
@@ -87,11 +86,12 @@ def _check_psd(a: np.ndarray, name: str) -> None:
             raise NotPositiveDefiniteError(f"{name} has non-positive trace but is not zero")
         return
     shift = 2.0 * _PSD_RTOL * tr / p
-    _, _, rank, info = dpstrf(a + shift * np.eye(p), lower=1)
-    if info != 0 or rank != p:
+    try:
+        np.linalg.cholesky(a + shift * np.eye(p))
+    except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(
             f"{name} fails the semidefiniteness check (pivot below -{_PSD_RTOL:g}*tr/p)"
-        )
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,9 @@ class TwoSampleSummary:
         x1 = _as_vector(xbar1, "xbar1")
         x2 = _as_vector(xbar2, "xbar2")
         s = _as_matrix(s, "s")
+        for name, a in (("xbar1", x1), ("xbar2", x2), ("s", s)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} contains non-finite values")
         if x2.shape != x1.shape or s.shape != (x1.shape[0], x1.shape[0]):
             raise DimensionError("xbar1, xbar2 and s disagree on dimension")
         _check_symmetric(s, "s")
@@ -311,10 +314,10 @@ def classify(x, summary: TwoSampleSummary, c: float) -> int:
 
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
+    """Standard normal CDF, as ``erfc(-x/sqrt(2))/2`` with :func:`math.erfc`."""
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
-    return float(ndtr(x))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def std_normal_pdf(x: float) -> float:
@@ -322,11 +325,14 @@ def std_normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+_STD_NORMAL = statistics.NormalDist()
+
+
 def std_normal_quantile(u: float) -> float:
-    """Inverse standard normal CDF on (0, 1)."""
+    """Inverse standard normal CDF on (0, 1): Wichura's AS241, as ``NormalDist().inv_cdf``."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile argument must lie strictly in (0,1), got {u}")
-    return float(ndtri(u))
+    return _STD_NORMAL.inv_cdf(u)
 
 
 def cholesky(a) -> np.ndarray:

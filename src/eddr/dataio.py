@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from .exceptions import DataFormatError
 
@@ -148,7 +147,6 @@ class RunManifest:
         default_factory=lambda: {
             "eddr": _EDDR_VERSION,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         }
     )

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
 from .core import (
@@ -121,7 +120,8 @@ def band_sigma(p: int, rho: float, bandwidth: int = 50) -> np.ndarray:
     k = np.arange(min(bandwidth, p - 1) + 1)
     first[k] = rho ** k.astype(float)
     first[0] = 1.0
-    sigma = toeplitz(first)
+    i = np.arange(p)
+    sigma = first[np.abs(i[:, None] - i)]
     cholesky(sigma)  # raises NotPositiveDefiniteError on failure
     return sigma
 

@@ -305,6 +305,18 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_every_cell_validated_before_the_first_runs(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("eddr.cli.run_simulation", lambda cfg: calls.append(cfg))
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "12", "--p-grid", "4,0", "--reps", "10",
+            "--seed", "1", "--method", "m1", "--alpha", "0.2",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2, err
+        assert calls == []
+        assert list(tmp_path.glob("x*")) == []
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
@@ -430,6 +442,10 @@ class TestParsing:
          "--eu", "0.1"],
         ["calibrate", "/nonexistent.csv", "/nonexistent.csv", "--method", "m1",
          "--alpha", "1.5"],
+        ["classify", "/nonexistent.csv", "/nonexistent.csv", "/nonexistent.csv",
+         "--cutoff", "nan"],
+        ["classify", "/nonexistent.csv", "/nonexistent.csv", "/nonexistent.csv",
+         "--cutoff", "inf"],
     ])
     def test_flags_checked_before_any_file_is_read(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

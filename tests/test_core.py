@@ -1,6 +1,7 @@
 """Summaries, scores, the decision rule, and scalar/matrix primitives."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,32 @@ class TestSummaryValidation:
     def test_covariance_shape_checked(self):
         with pytest.raises(DimensionError):
             from_cov(np.zeros(3), np.zeros(3), np.eye(2), 3, 3)
+
+    @pytest.mark.parametrize("where, value", [("s", np.nan), ("s", np.inf), ("xbar1", np.nan)])
+    def test_nonfinite_input_rejected_first(self, where, value):
+        args = {"xbar1": np.zeros(3), "xbar2": np.zeros(3), "s": np.eye(3)}
+        if where == "s":
+            args["s"][0, 1] = args["s"][1, 0] = value
+        else:
+            args["xbar1"][1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite values"):
+                from_cov(args["xbar1"], args["xbar2"], args["s"], 3, 3)
+
+    @pytest.mark.parametrize("k, accepted", [(1e-10, True), (4e-10, False)])
+    def test_psd_tolerance_boundary(self, rng, k, accepted):
+        # smallest eigenvalue -k * tr/p, with the trace taken over all eigenvalues
+        p, rest = 6, np.arange(1.0, 6.0)
+        lam = -k * rest.sum() / (p + k)
+        q = random_orthogonal(p, rng)
+        s = q * np.append(rest, lam) @ q.T
+        s = (s + s.T) / 2
+        if accepted:
+            assert from_cov(np.zeros(p), np.zeros(p), s, 4, 4).p == p
+        else:
+            with pytest.raises(NotPositiveDefiniteError):
+                from_cov(np.zeros(p), np.zeros(p), s, 4, 4)
 
 
 class TestPowerStatistics:
@@ -258,6 +285,13 @@ class TestNormalCdf:
         with pytest.raises(ValueError):
             std_normal_cdf(float("inf"))
 
+    def test_matches_scipy_reference(self):
+        from scipy.special import ndtr
+
+        x = np.linspace(-37.0, 8.0, 9001)
+        got = np.array([std_normal_cdf(v) for v in x])
+        assert np.abs(got / ndtr(x) - 1.0).max() <= 1e-12
+
     def test_pdf_matches_cdf_derivative(self):
         h = 1e-6
         for x in (-2.0, -0.3, 0.0, 1.1, 2.5):
@@ -280,6 +314,19 @@ class TestNormalQuantile:
         for u in (1e-6, 0.001, 0.3, 0.999, 1 - 1e-6):
             z = std_normal_quantile(u)
             assert abs(std_normal_cdf(z) - u) <= 1e-12
+
+    def test_matches_scipy_reference_within_8_ulp(self):
+        from scipy.special import ndtri
+
+        u = np.concatenate([
+            np.logspace(-300, -1, 3000),
+            np.linspace(0.1, 0.9, 3001),
+            1.0 - np.logspace(-1, -16, 3000),
+        ])
+        want = ndtri(u)
+        got = np.array([std_normal_quantile(v) for v in u])
+        ulps = np.abs(got - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= 8
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1])
     def test_domain(self, u):

@@ -67,6 +67,17 @@ class TestBandSigma:
         with pytest.raises(NotPositiveDefiniteError):
             band_sigma(150, 0.95, bandwidth=50)
 
+    @pytest.mark.parametrize("p, rho, bandwidth", [
+        (1, 0.5, 50), (6, 0.5, 2), (7, -0.6, 0), (64, 0.2, 50), (40, 0.3, 39), (40, 0.3, 200),
+    ])
+    def test_matches_scipy_toeplitz_bytes(self, p, rho, bandwidth):
+        from scipy.linalg import toeplitz
+
+        sig = band_sigma(p, rho, bandwidth)
+        want = toeplitz(sig[0])
+        assert sig.dtype == want.dtype and sig.shape == want.shape
+        assert sig.tobytes() == want.tobytes()
+
 
 class TestDesignMeans:
     def test_identity_case(self):

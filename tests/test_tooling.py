@@ -1,11 +1,12 @@
-"""The traced benchmark's wrappers still find every eddr attribute they wrap.
+"""Checks on what the package loads and on the traced benchmark's hooks.
 
 ``perfbench/run.py --trace 1`` replaces eddr functions by name (see
 ``perfbench/sims.py`` and ``perfbench/tracing.py``); a rename in eddr
-would break it, so this installs both sets of wrappers and restores them.
+would break it, so one test installs both sets of wrappers and restores them.
 """
 
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -55,3 +56,13 @@ def test_trace_wrappers_install_and_restore(perfbench_modules):
             "simulate.error_inputs", "simulate.conditional_error"} <= names
     ok, detail = tracing.check_closure(tracer.finished(), "simulate.run_trial")
     assert ok, detail
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this one may hold scipy for the reference tests
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eddr.cli.__file__)))
+    code = "import sys, eddr, eddr.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
