@@ -44,7 +44,6 @@ from .simulate import (
     SimConfig,
     attained_confidence_level,
     attained_error_rate,
-    make_population,
     run_simulation,
 )
 from .verify import mc_moment_suite, scalar_reduction_suite

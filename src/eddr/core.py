@@ -63,6 +63,11 @@ def _as_vector(a, name: str) -> np.ndarray:
     return a
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite values")
+
+
 def _check_symmetric(a: np.ndarray, name: str, rtol: float = _SYM_RTOL) -> None:
     scale = np.abs(a).max() if a.size else 0.0
     if scale == 0.0:
@@ -183,8 +188,7 @@ class TwoSampleSummary:
         x2 = _as_vector(xbar2, "xbar2")
         s = _as_matrix(s, "s")
         for name, a in (("xbar1", x1), ("xbar2", x2), ("s", s)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} contains non-finite values")
+            _check_finite(a, name)
         if x2.shape != x1.shape or s.shape != (x1.shape[0], x1.shape[0]):
             raise DimensionError("xbar1, xbar2 and s disagree on dimension")
         _check_symmetric(s, "s")
@@ -233,6 +237,8 @@ class NormalParams:
         object.__setattr__(self, "sigma", sigma)
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise DimensionError("mu and sigma disagree on dimension")
+        _check_finite(mu, "mu")
+        _check_finite(sigma, "sigma")
         _check_symmetric(sigma, "sigma")
         cholesky(sigma)  # must be strictly positive definite
 
@@ -335,33 +341,42 @@ def std_normal_quantile(u: float) -> float:
     return _STD_NORMAL.inv_cdf(u)
 
 
-def cholesky(a) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""
-    a = _as_matrix(a, "a")
+def _as_square(a, name: str) -> np.ndarray:
+    """``a`` as a finite, square, symmetric float matrix; the finiteness check runs first."""
+    a = _as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("matrix must be square")
-    _check_symmetric(a, "a")
+    _check_finite(a, name)
+    _check_symmetric(a, name)
+    return a
+
+
+def cholesky(a) -> np.ndarray:
+    """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""
+    a = _as_square(a, "a")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
 
 
-def sym_sqrt(a) -> np.ndarray:
-    """Unique symmetric PSD square root, via a full symmetric eigendecomposition.
+def _psd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, clipped at 0) and eigenvectors of a symmetric PSD matrix.
 
     Eigenvalues below ``-1e-10 * |a|`` raise; small negative ones produced by
     round-off are clipped to zero.
     """
-    a = _as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("matrix must be square")
-    _check_symmetric(a, "a")
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(_as_square(a, "a"))
     scale = max(abs(w[0]), abs(w[-1]))
     if w[0] < -_PSD_RTOL * scale:
         raise NotPositiveDefiniteError(
             f"matrix has eigenvalue {w[0]:g} below -{_PSD_RTOL:g}*norm"
         )
-    root = v * np.sqrt(np.clip(w, 0.0, None)) @ v.T
+    return np.clip(w, 0.0, None), v
+
+
+def sym_sqrt(a) -> np.ndarray:
+    """Unique symmetric PSD square root, via :func:`_psd_eigh`'s full eigendecomposition."""
+    w, v = _psd_eigh(a)
+    root = v * np.sqrt(w) @ v.T
     return (root + root.T) / 2.0

@@ -13,6 +13,15 @@ the error is Phi((U + bias + c)/sqrt(V)) with
 
 the bias being half the score's trace correction.
 
+Trials are drawn in Sigma's eigenbasis.  With Sigma = W Lambda W', the
+rule, U, V, the bias and every statistic the calibration reads are
+unchanged when the data, the means and Sigma are rotated together by W',
+so a trial drawn from N(W'mu_k, Lambda) has exactly the law of one drawn
+from N(mu_k, Sigma).  Sampling is then a per-coordinate scaling, O(Np),
+and V = sum_i lambda_i d_i^2 costs O(p); the population is three
+p-vectors.  A given seed's output therefore differs from versions that
+sampled through a Cholesky factor of Sigma, though its law does not.
+
 No test points are ever classified.  Aggregating the per-trial errors
 gives the attained error rate (for expected-error calibration) and the
 attained confidence level (for confidence calibration).
@@ -35,10 +44,10 @@ from .calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
 from .core import (
     LabeledSample,
     TwoSampleSummary,
+    _psd_eigh,
     cholesky,
     pooled_summary,
     std_normal_cdf,
-    sym_sqrt,
 )
 from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS
 # not called here: the traced benchmark (perfbench/sims.py) wraps
@@ -126,32 +135,38 @@ def band_sigma(p: int, rho: float, bandwidth: int = 50) -> np.ndarray:
     return sigma
 
 
+def _eigen_design(sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues ``lam`` and eigenvectors ``w`` of sigma, and mu1 in their basis.
+
+    mu1 = sigma^{1/2} (5/p)^{1/2} 1 has coordinates sqrt(lam) * (w' 1) (5/p)^{1/2}
+    in the eigenbasis.
+    """
+    lam, w = _psd_eigh(sigma)
+    ones = np.full(lam.shape[0], math.sqrt(DESIGN_SEPARATION / lam.shape[0]))
+    return lam, w, np.sqrt(lam) * (w.T @ ones)
+
+
 def design_means(sigma) -> tuple[np.ndarray, np.ndarray]:
     """Group means with whitened separation sqrt(5/p) per coordinate.
 
     mu1 = sigma^{1/2} (5/p)^{1/2} 1, mu2 = 0; then |mu1 - mu2|^2 equals
     (5/p) 1' sigma 1.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0]
-    root = sym_sqrt(sigma)
-    mu1 = root @ np.full(p, math.sqrt(DESIGN_SEPARATION / p))
-    return mu1, np.zeros(p)
+    _, w, mu1 = _eigen_design(sigma)
+    return w @ mu1, np.zeros(mu1.shape[0])
 
 
 @dataclass(frozen=True)
 class PopulationDesign:
-    """True parameters of the data-generating process, factorized for sampling."""
+    """True parameters of the data-generating process in Sigma's eigenbasis.
+
+    ``sd`` holds the square roots of Sigma's eigenvalues, the standard
+    deviations of the rotated coordinates, which are independent.
+    """
 
     mu1: np.ndarray
     mu2: np.ndarray
-    sigma: np.ndarray
-    chol: np.ndarray
-
-    @classmethod
-    def from_sigma(cls, sigma, mu1, mu2) -> "PopulationDesign":
-        return cls(mu1=np.asarray(mu1, float), mu2=np.asarray(mu2, float),
-                   sigma=np.asarray(sigma, float), chol=cholesky(sigma))
+    sd: np.ndarray
 
     @property
     def p(self) -> int:
@@ -159,13 +174,14 @@ class PopulationDesign:
 
     def sample_group(self, mu: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((rows, self.p))
-        return z @ self.chol.T + mu
+        z *= self.sd
+        z += mu
+        return z
 
 
 def make_population(cfg: SimConfig) -> PopulationDesign:
-    sigma = band_sigma(cfg.p, cfg.rho, cfg.bandwidth)
-    mu1, mu2 = design_means(sigma)
-    return PopulationDesign.from_sigma(sigma, mu1, mu2)
+    lam, _, mu1 = _eigen_design(band_sigma(cfg.p, cfg.rho, cfg.bandwidth))
+    return PopulationDesign(mu1=mu1, mu2=np.zeros(cfg.p), sd=np.sqrt(lam))
 
 
 class ErrorInputs(NamedTuple):
@@ -184,7 +200,8 @@ def error_inputs(summary: TwoSampleSummary, pop: PopulationDesign) -> ErrorInput
     """U, V and the trace bias entering the conditional-error formula."""
     d = summary.mean_diff
     u = float(d @ (summary.xbar1 - pop.mu1)) - 0.5 * float(summary.q0)
-    v = float(d @ (pop.sigma @ d))
+    scaled = pop.sd * d
+    v = float(scaled @ scaled)
     return ErrorInputs(u=u, v=v, bias=summary.score_bias / 2.0)
 
 

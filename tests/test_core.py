@@ -374,6 +374,18 @@ class TestFactorizations:
         assert np.allclose(root @ root, a, atol=1e-10)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("build", [cholesky, sym_sqrt, lambda s: NormalParams(np.zeros(3), s)],
+                         ids=["cholesky", "sym_sqrt", "NormalParams"])
+def test_nonfinite_matrix_rejected_first(build, value):
+    s = np.eye(3)
+    s[0, 1] = s[1, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="contains non-finite values"):
+            build(s)
+
+
 class TestNormalParams:
     def test_requires_strict_pd(self):
         with pytest.raises(NotPositiveDefiniteError):

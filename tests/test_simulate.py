@@ -1,13 +1,13 @@
 """Simulation harness: design construction, trials, determinism, aggregates."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import eddr.simulate as sim
 from eddr.calibration import CutoffRequest
-from eddr.core import Dims, LabeledSample, pooled_summary
+from eddr.core import Dims, LabeledSample, cholesky, pooled_summary
 from eddr.error_model import limit_params
 from eddr.estimators import a1_hat, estimate_all
 from eddr.exceptions import (
@@ -93,10 +93,16 @@ class TestDesignMeans:
         assert mu1 @ mu1 == pytest.approx(direct, rel=1e-9)
 
     def test_population_separation_diagnostic(self):
+        # in sigma's eigenbasis the whitened mean difference is (mu1 - mu2)/sqrt(lam)
         pop = make_population(m1_config(p=16, rho=0.3))
-        delta = pop.mu1 - pop.mu2
-        whitened = np.linalg.solve(pop.chol, delta)
+        whitened = (pop.mu1 - pop.mu2) / pop.sd
         assert whitened @ whitened == pytest.approx(DESIGN_SEPARATION, rel=1e-9)
+
+    def test_population_holds_only_p_vectors(self):
+        pop = make_population(m1_config(p=64, rho=0.5))
+        arrays = [getattr(pop, f.name) for f in fields(pop)]
+        assert arrays and all(isinstance(a, np.ndarray) for a in arrays)
+        assert all(a.shape == (64,) for a in arrays)
 
 
 class TestTrialMechanics:
@@ -152,6 +158,25 @@ class TestTrialMechanics:
             lp = limit_params(deltas, traces, Dims(9, 12, p))
             assert fast == pytest.approx(m1_cutoff(lp, 0.2).c, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [10, 40])  # N = 23: primal and dual statistics
+    def test_error_inputs_match_the_original_basis(self, p):
+        # data drawn from N(mu_k, sigma) and rotated into sigma's eigenbasis
+        # give the eigenbasis population the U, V and bias of the original
+        cfg = m1_config(p=p, n1=9, n2=14, rho=0.5)
+        sigma = band_sigma(p, 0.5)
+        mu1, mu2 = design_means(sigma)
+        rng, chol = np.random.default_rng(12), cholesky(sigma)
+        x1 = rng.standard_normal((9, p)) @ chol.T + mu1
+        x2 = rng.standard_normal((14, p)) @ chol.T + mu2
+        _, w = np.linalg.eigh(sigma)
+        err = error_inputs(summary_of(x1 @ w, x2 @ w), make_population(cfg))
+        xb1, xb2 = x1.mean(0), x2.mean(0)
+        d = xb1 - xb2
+        tr_s = (((x1 - xb1) ** 2).sum() + ((x2 - xb2) ** 2).sum()) / (9 + 14 - 2)
+        assert err.u == pytest.approx(d @ (xb1 - mu1) - d @ d / 2, rel=1e-9)
+        assert err.v == pytest.approx(d @ sigma @ d, rel=1e-9)
+        assert err.bias == pytest.approx((9 - 14) / (9 * 14) * tr_s / 2, rel=1e-9)
+
     def test_trial_record_bounds(self):
         with pytest.raises(SimulationError):
             TrialRecord(cond_error=0.0, cutoff=1.0, fell_back=False)
@@ -179,6 +204,18 @@ class TestDeterminism:
         r1 = run_simulation(cfg1)
         r2 = run_simulation(cfg2)
         assert r1.records == r2.records
+        assert r1.n_excluded == r2.n_excluded
+
+    def test_worker_count_invariance_above_n(self):
+        # p = 256 > N = 32: the Gram products run where BLAS may use threads
+        cfg = m1_config(p=256, n1=16, n2=16, rho=0.5, reps=32, seed=5)
+        r1 = run_simulation(replace(cfg, workers=1))
+        r2 = run_simulation(replace(cfg, workers=2))
+
+        def record_bytes(res):
+            return np.array([(r.cond_error, r.cutoff, r.fell_back) for r in res.records]).tobytes()
+
+        assert record_bytes(r1) == record_bytes(r2)
         assert r1.n_excluded == r2.n_excluded
 
     def test_shared_data_across_requests(self):
@@ -291,14 +328,16 @@ class TestConfigValidation:
 
     def test_sampling_law_matches_sigma(self):
         # draws at a banded p = 256 design have mean mu1 and covariance
-        # sigma: every entry within 6 Monte Carlo standard errors
+        # diag(lam), sigma in its eigenbasis: every entry within 6 Monte
+        # Carlo standard errors
         pop = make_population(m1_config(p=256, rho=0.2))
+        lam = pop.sd**2
+        assert np.allclose(lam, np.linalg.eigvalsh(band_sigma(256, 0.2)), rtol=1e-10)
         m = 6000
         x = pop.sample_group(pop.mu1, m, np.random.default_rng(4)) - pop.mu1
-        sigma = pop.sigma
-        diag = np.diag(sigma)
-        mean_z = x.mean(axis=0) / np.sqrt(diag / m)
-        cov_se = np.sqrt((np.outer(diag, diag) + sigma**2) / m)
-        cov_z = (x.T @ x / m - sigma) / cov_se
+        mean_z = x.mean(axis=0) / np.sqrt(lam / m)
+        cov = np.diag(lam)
+        cov_se = np.sqrt((np.outer(lam, lam) + cov**2) / m)
+        cov_z = (x.T @ x / m - cov) / cov_se
         assert np.abs(mean_z).max() < 6.0
         assert np.abs(cov_z).max() < 6.0
