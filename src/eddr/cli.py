@@ -249,6 +249,18 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
+def _env_workers() -> int:
+    """Worker count from the ``EDDR_WORKERS`` environment variable, 1 when unset."""
+    text = os.environ.get("EDDR_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"EDDR_WORKERS must be a positive integer, got {text!r}")
+    return workers
+
+
 def cmd_simulate(args) -> int:
     settings = _resolve_sim_settings(args)
     settings.setdefault("reps", 20000)  # desk-scale default
@@ -281,7 +293,7 @@ def cmd_simulate(args) -> int:
 
     rho = settings.get("rho", 0.0)
     bandwidth = settings.get("bandwidth", 50)
-    workers = settings.get("workers", int(os.environ.get("EDDR_WORKERS", "1")))
+    workers = settings["workers"] if "workers" in settings else _env_workers()
     out_prefix = settings.get("out", "simulation")
     # every cell is validated before the first one runs
     configs = [

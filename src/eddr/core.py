@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,17 +130,15 @@ class LabeledSample:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _power_stats(a: np.ndarray, v: np.ndarray) -> tuple:
-    """tr(a^k) for k = 1..4, then v' a^k v for k = 0..3, for a symmetric ``a``.
+    """tr(a), tr(a^2), then v' a^k v for k = 0..3, for a symmetric ``a``.
 
-    One product ``a @ a`` (a symmetric rank update, since ``a`` equals its
-    transpose) plus matrix-vector products.  A power that overflows double
-    precision comes out infinite or NaN; the estimators reject it, while
-    the rule itself needs only ``tr a``.
+    Matrix-vector products only: tr(a^3) and tr(a^4) need the product
+    ``a @ a``, which :class:`TwoSampleSummary` forms on first read.  A
+    statistic that overflows double precision comes out infinite or NaN;
+    the estimators reject it, while the rule itself needs only ``tr a``.
     """
-    a2 = a @ a.T
     av = a @ v
-    return (np.trace(a), np.vdot(a, a), np.vdot(a2, a), np.vdot(a2, a2),
-            v @ v, v @ av, av @ av, av @ (a @ av))
+    return np.trace(a), np.vdot(a, a), v @ v, v @ av, av @ av, av @ (a @ av)
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,15 @@ class TwoSampleSummary:
     With ``S`` the pooled covariance (divisor ``n = n1 + n2 - 2``) and
     ``d = xbar1 - xbar2``, the summary holds ``t_k = tr(S^k)`` for
     k = 1..4 and ``q_k = d' S^k d`` for k = 0..3: everything the
-    estimators, the calibration and the rule need.  ``S`` itself is never
-    stored; :func:`pooled_summary` builds a summary from data and
-    :meth:`from_covariance` from a user-supplied ``S``.
+    estimators, the calibration and the rule need.  ``t1``, ``t2`` and
+    the ``q_k`` are computed up front.  ``t3`` and ``t4`` are read-only
+    properties, computed together on first read from the last, private
+    field: a symmetric matrix whose powers share their traces with those
+    of ``S``, which is ``S`` itself when p <= N and the scaled dual Gram
+    matrix ``G/n`` when p > N (see :func:`pooled_summary`).  The M1
+    cut-off and the rule never read ``t3`` or ``t4``, so they never pay
+    for that matrix product.  :func:`pooled_summary` builds a summary
+    from data and :meth:`from_covariance` from a user-supplied ``S``.
     """
 
     xbar1: np.ndarray
@@ -160,12 +165,11 @@ class TwoSampleSummary:
     n2: int
     t1: float
     t2: float
-    t3: float
-    t4: float
     q0: float
     q1: float
     q2: float
     q3: float
+    _power_base: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         x1 = _as_vector(self.xbar1, "xbar1")
@@ -176,13 +180,19 @@ class TwoSampleSummary:
             raise DimensionError("xbar1 and xbar2 disagree on dimension")
         if self.n < 1:
             raise DimensionError("need n = n1 + n2 - 2 >= 1")
+        base = _as_matrix(self._power_base, "power_base")
+        if base.shape[0] != base.shape[1]:
+            raise DimensionError("power_base must be square")
+        object.__setattr__(self, "_power_base", base)
 
     @classmethod
     def from_covariance(cls, xbar1, xbar2, s, n1: int, n2: int) -> "TwoSampleSummary":
         """Summary of a user-supplied pooled covariance ``s``.
 
         ``s`` must be symmetric and positive semidefinite; it may be
-        singular when p > n, since nothing downstream inverts it.
+        singular when p > n, since nothing downstream inverts it.  The
+        summary keeps its own copy of ``s``, so changing ``s`` afterwards
+        leaves ``t3`` and ``t4`` as they were.
         """
         x1 = _as_vector(xbar1, "xbar1")
         x2 = _as_vector(xbar2, "xbar2")
@@ -193,7 +203,26 @@ class TwoSampleSummary:
             raise DimensionError("xbar1, xbar2 and s disagree on dimension")
         _check_symmetric(s, "s")
         _check_psd(s, "s")
-        return cls(x1, x2, n1, n2, *_power_stats(s, x1 - x2))
+        s = s.copy(order="K")
+        return cls(x1, x2, n1, n2, *_power_stats(s, x1 - x2), s)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def _high_traces(self) -> tuple:
+        """(t3, t4) from one product ``a @ a`` (a symmetric rank update)."""
+        a = self._power_base
+        a2 = a @ a.T
+        return np.vdot(a2, a), np.vdot(a2, a2)
+
+    @property
+    def t3(self) -> float:
+        """tr(S^3); computed with ``t4`` on first read."""
+        return self._high_traces[0]
+
+    @property
+    def t4(self) -> float:
+        """tr(S^4); computed with ``t3`` on first read."""
+        return self._high_traces[1]
 
     @property
     def p(self) -> int:
@@ -256,8 +285,11 @@ def pooled_summary(s1: LabeledSample, s2: LabeledSample) -> TwoSampleSummary:
     ``G = C C'`` (Yata & Aoshima, JMVA 105, 2012), whose powers share
     their traces with those of ``C'C``, and with ``w = C d`` the forms are
     ``q1 = |w|^2/n``, ``q2 = w'G w/n^2`` and ``q3 = |G w|^2/n^3``.  The
-    cost is O(N^2 p + N^3) then, and O(N p^2 + p^3) when p <= N.  A
-    statistic that overflows comes out infinite or NaN, as in
+    summary keeps ``G/n`` (p > N) or ``S`` (p <= N) for ``t3`` and ``t4``,
+    which need one more product of that matrix with itself and are
+    computed only when first read.  The cost is O(N^2 p) when p > N, plus
+    O(N^3) once ``t3``/``t4`` are read; O(N p^2) when p <= N, plus O(p^3).
+    A statistic that overflows comes out infinite or NaN, as in
     :func:`_power_stats`.
     """
     if s1.p != s2.p:
@@ -272,11 +304,13 @@ def pooled_summary(s1: LabeledSample, s2: LabeledSample) -> TwoSampleSummary:
     c[s1.n_obs :] -= xbar2
     c /= math.sqrt(c.shape[0] - 2)
     if s1.p <= c.shape[0]:
-        stats = _power_stats(c.T @ c, d)
+        base = c.T @ c
+        stats = _power_stats(base, d)
     else:
-        t1, t2, t3, t4, q1, q2, q3, _ = _power_stats(c @ c.T, c @ d)
-        stats = (t1, t2, t3, t4, d @ d, q1, q2, q3)
-    return TwoSampleSummary(xbar1, xbar2, s1.n_obs, s2.n_obs, *stats)
+        base = c @ c.T
+        t1, t2, q1, q2, q3, _ = _power_stats(base, c @ d)
+        stats = (t1, t2, d @ d, q1, q2, q3)
+    return TwoSampleSummary(xbar1, xbar2, s1.n_obs, s2.n_obs, *stats, base)
 
 
 def oracle_score(x, params1: NormalParams, params2: NormalParams) -> float:

@@ -188,13 +188,21 @@ def delta3_hat(summary: TwoSampleSummary, traces: TraceEstimates, d1: float, d2:
 def estimate_all(summary: TwoSampleSummary):
     """All eight estimates from the summary's power statistics.
 
-    Returns ``(TraceEstimates, DeltaEstimates)``; raises
+    Each kernel runs once, in dependency order, and each result is checked
+    as soon as it exists, so an overflow names the first estimate it
+    reaches.  Returns ``(TraceEstimates, DeltaEstimates)``; raises
     :class:`CalibrationInfeasibleError` if an estimate is not finite.
     """
     _require_n(summary.n, 7, "estimate_all")
-    traces = TraceEstimates(a1=a1_hat(summary), a2=a2_hat(summary), a3=a3_hat(summary),
-                            a4=a4_hat(summary))
-    d1 = delta1_hat(summary)
-    d2 = delta2_hat(summary, traces, d1)
-    d3 = delta3_hat(summary, traces, d1, d2)
-    return traces, DeltaEstimates(d0=delta0_hat(summary), d1=d1, d2=d2, d3=d3)
+    s = summary
+    n, n1, n2, p = s.n, s.n1, s.n2, s.p
+    a1 = _finite("a1", a1_from_traces(s.t1, p))
+    a2 = _finite("a2", a2_from_traces(s.t1, s.t2, n, p))
+    a3 = _finite("a3", a3_from_traces(s.t1, s.t2, s.t3, n, p))
+    a4 = _finite("a4", a4_from_traces(s.t1, s.t2, s.t3, s.t4, n, p))
+    d1 = _finite("delta1", delta1_from_stats(s.q1, a2, n1, n2, p))
+    d2 = _finite("delta2", delta2_from_stats(s.q2, d1, a1, a2, a3, n, n1, n2, p))
+    d3 = _finite("delta3", delta3_from_stats(s.q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p))
+    d0 = _finite("delta0", delta0_from_stats(s.q0, a1, n1, n2, p))
+    return (TraceEstimates(a1=a1, a2=a2, a3=a3, a4=a4),
+            DeltaEstimates(d0=d0, d1=d1, d2=d2, d3=d3))

@@ -218,6 +218,18 @@ class TestCalibrate:
         assert out.limit == limit_params(self.d, self.t, DIMS)
         assert expected_error(out.limit, out.result.c) == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [16, 200])  # N = 64: p <= N and p > N
+    def test_m1_never_forms_the_high_power_product(self, p):
+        # t3 and t4 come from one cached product, which only M2 needs
+        rng = np.random.default_rng(7)
+        x1 = rng.standard_normal((DIMS.n1, p)) + 0.3
+        x2 = rng.standard_normal((DIMS.n2, p))
+        summary = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+        calibrate(summary, CutoffRequest.m1(0.3))
+        assert "_high_traces" not in vars(summary)
+        estimate_all(summary)
+        assert "_high_traces" in vars(summary)
+
     def test_m2_route_reports_law(self):
         out = calibrate(self.summary, CutoffRequest.m2_logit(0.2, 0.1))
         assert out.law is not None

@@ -390,6 +390,18 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "env.manifest.json").read_text())
         assert manifest["config"]["resolved_workers"] == 2
 
+    @pytest.mark.parametrize("value", ["two", "0", "-1"])
+    def test_bad_worker_count_in_environment_named(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("EDDR_WORKERS", value)
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "12", "--p-grid", "4", "--reps", "20",
+            "--seed", "3", "--method", "m1", "--alpha", "0.2",
+            "--out", str(tmp_path / "env"),
+        )
+        assert code == 1
+        assert f"EDDR_WORKERS must be a positive integer, got {value!r}" in err
+        assert list(tmp_path.glob("env*")) == []
+
     def test_reps_defaults_to_desk_scale(self, capsys, tmp_path):
         # omit --reps entirely: a tiny grid still works with the default,
         # so keep the design minuscule

@@ -168,6 +168,24 @@ class TestPowerStatistics:
             got, want = getattr(scaled, f"q{k}"), scale ** (2 * k + 2) * getattr(base, f"q{k}")
             assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [9, 40])  # N = 21
+    def test_high_traces_from_the_kept_matrix(self, rng, p):
+        x1 = rng.standard_normal((12, p)) + 0.7
+        x2 = rng.standard_normal((9, p))
+        s = summary_of(x1, x2)
+        a = s._power_base
+        assert a.shape == (min(p, 21),) * 2
+        a2 = a @ a.T
+        assert (s.t3, s.t4) == (np.vdot(a2, a), np.vdot(a2, a2))
+
+    def test_from_covariance_keeps_its_own_copy(self, rng):
+        s = np.asfortranarray(random_spd(7, rng))
+        summary = from_cov(np.ones(7), np.zeros(7), s, 5, 6)
+        a2 = s @ s.T
+        want = (np.vdot(a2, s), np.vdot(a2, a2))
+        s *= 2.0
+        assert (summary.t3, summary.t4) == want
+
     def test_no_pxp_matrix_when_p_exceeds_n(self, rng):
         # a p x p float matrix at p = 2000 alone takes 32 MB
         s1 = LabeledSample(rng.standard_normal((10, 2000)), 1)

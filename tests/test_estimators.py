@@ -137,16 +137,17 @@ class TestDeltaEstimators:
             assert v2 == pytest.approx(v1, rel=1e-9)
 
     def test_estimate_all_matches_individual_ops(self, rng):
-        s = gaussian_summary(rng)
-        traces, deltas = estimate_all(s)
-        assert traces.a1 == pytest.approx(a1_hat(s), rel=1e-12)
-        assert traces.a2 == pytest.approx(a2_hat(s), rel=1e-12)
-        assert traces.a3 == pytest.approx(a3_hat(s), rel=1e-12)
-        assert traces.a4 == pytest.approx(a4_hat(s), rel=1e-12)
-        assert deltas.d0 == pytest.approx(delta0_hat(s), rel=1e-12)
-        assert deltas.d1 == pytest.approx(delta1_hat(s), rel=1e-12)
-        assert deltas.d2 == pytest.approx(delta2_hat(s, traces, deltas.d1), rel=1e-12)
-        assert deltas.d3 == pytest.approx(delta3_hat(s, traces, deltas.d1, deltas.d2), rel=1e-12)
+        # bit for bit: estimate_all evaluates the same kernels once each
+        for p, scale in [(5, 1.0), (5, 1e-5), (5, 3e4), (40, 1.0), (40, 1e-5), (40, 3e4)]:
+            x1 = scale * (rng.standard_normal((8, p)) + 0.8)  # N = 17
+            x2 = scale * rng.standard_normal((9, p))
+            s = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+            traces, deltas = estimate_all(s)
+            assert (traces.a1, traces.a2, traces.a3, traces.a4) == (
+                a1_hat(s), a2_hat(s), a3_hat(s), a4_hat(s))
+            assert (deltas.d0, deltas.d1) == (delta0_hat(s), delta1_hat(s))
+            assert deltas.d2 == delta2_hat(s, traces, deltas.d1)
+            assert deltas.d3 == delta3_hat(s, traces, deltas.d1, deltas.d2)
 
 
 @pytest.fixture(scope="module")
