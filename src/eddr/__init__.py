@@ -25,17 +25,13 @@ from .core import (
     PI1,
     PI2,
     Dims,
-    LabeledSample,
-    NormalParams,
     TwoSampleSummary,
     cholesky,
     classify,
     discriminant_score,
-    oracle_score,
     pooled_summary,
     std_normal_cdf,
     std_normal_quantile,
-    sym_sqrt,
 )
 from .error_model import (
     AsymptoticLaw,
@@ -52,15 +48,8 @@ from .error_model import (
 from .estimators import (
     DeltaEstimates,
     TraceEstimates,
-    a1_hat,
-    a2_hat,
-    a3_hat,
-    a4_hat,
-    delta0_hat,
-    delta1_hat,
-    delta2_hat,
-    delta3_hat,
     estimate_all,
+    estimate_low,
 )
 from .exceptions import (
     CalibrationInfeasibleError,

@@ -34,7 +34,7 @@ from .error_model import (
     limit_params,
     limit_values,
 )
-from .estimators import a2_hat, delta0_hat, delta1_hat, estimate_all
+from .estimators import estimate_all, estimate_low
 from .exceptions import CalibrationInfeasibleError
 
 #: Where the error law is evaluated before an M2 cut-off is extracted.
@@ -212,8 +212,9 @@ def calibrate(
 ) -> CalibrationOutcome:
     """Cut-off for ``request`` from the training data's summary.
 
-    M1 needs only the a2, delta0 and delta1 estimates, so it works from
-    n = 2 on.  M2 needs all eight (n >= 7).  Its error law must be
+    M1 needs only the a2, delta0 and delta1 estimates of
+    :func:`~eddr.estimators.estimate_low`, so it works from n = 2 on.  M2
+    needs all eight (n >= 7).  Its error law must be
     evaluated at some cut-off before the adjusted percentile exists;
     ``anchor`` selects that point (see :data:`M2_ANCHORS`).  The
     fixed-point option iterates law evaluation and cut-off extraction
@@ -227,8 +228,8 @@ def calibrate(
         raise ValueError(f"unknown anchor {anchor!r}")
     dims = summary.dims
     if request.variant == CutoffVariant.M1:
-        lp = LimitParams(*limit_values(
-            delta0_hat(summary), delta1_hat(summary), a2_hat(summary), dims))
+        _, a2, d0, d1 = estimate_low(summary)
+        lp = LimitParams(*limit_values(d0, d1, a2, dims))
         return CalibrationOutcome(result=m1_cutoff(lp, request.alpha), limit=lp, law=None)
     traces, deltas = estimate_all(summary)
     lp = limit_params(deltas, traces, dims)

@@ -28,10 +28,10 @@ from .calibration import (
     CutoffVariant,
     calibrate,
 )
-from .core import LabeledSample, classify, discriminant_score, pooled_summary
+from .core import classify, discriminant_score, pooled_summary
 from .dataio import RunManifest, format_table_value, read_matrix_csv, write_text_atomic
 from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS, limit_values
-from .estimators import a1_hat, estimate_all
+from .estimators import estimate_all, estimate_low
 from .exceptions import (
     CalibrationInfeasibleError,
     DataFormatError,
@@ -73,9 +73,7 @@ def _load_training(args) -> tuple:
     x2 = read_matrix_csv(args.train2, skip_header=args.skip_header or None)
     if x1.size == 0 or x2.size == 0:
         raise DataFormatError("training files must contain at least two rows each")
-    s1 = LabeledSample(observations=x1, group=1)
-    s2 = LabeledSample(observations=x2, group=2)
-    return pooled_summary(s1, s2)
+    return pooled_summary(x1, x2)
 
 
 def _request_from_args(method: str, alpha, eu, beta) -> CutoffRequest:
@@ -153,7 +151,7 @@ def cmd_calibrate(args) -> int:
         "fell_back": res.fell_back,
         "e0": request.alpha if request.variant == CutoffVariant.M1 else outcome.law.e0,
         "tau2": None if outcome.law is None else outcome.law.tau2,
-        "a1": a1_hat(summary),
+        "a1": estimate_low(summary)[0],
         "u0": outcome.limit.u0,
         "v0": outcome.limit.v0,
     }
@@ -242,11 +240,14 @@ def _resolve_sim_settings(args) -> dict:
     return settings
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [int(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+    if not values:
+        raise UsageError(f"{flag} is empty, got {text!r}")
+    return values
 
 
 def _env_workers() -> int:
@@ -283,13 +284,13 @@ def cmd_simulate(args) -> int:
         if "n_grid" not in settings:
             raise UsageError("simulate needs --n-grid (total sizes) or n1/n2")
         cells_n = []
-        for n_total in _int_list(settings["n_grid"]):
+        for n_total in _int_list(settings["n_grid"], "--n-grid"):
             if n_total % 2 or n_total < 4:
                 raise UsageError(f"total N must be even and >= 4, got {n_total}")
             cells_n.append((n_total // 2, n_total // 2))
     if "p_grid" not in settings:
         raise UsageError("simulate needs --p-grid")
-    p_values = _int_list(settings["p_grid"])
+    p_values = _int_list(settings["p_grid"], "--p-grid")
 
     rho = settings.get("rho", 0.0)
     bandwidth = settings.get("bandwidth", 50)
@@ -319,7 +320,8 @@ def cmd_simulate(args) -> int:
         ae = attained_error_rate(result.records)
         cell = {
             "n_total": cfg.n1 + cfg.n2, "n1": cfg.n1, "n2": cfg.n2, "p": cfg.p,
-            "ae": ae.value, "ae_se": ae.se,
+            # one trial leaves the standard error undefined: null, not NaN
+            "ae": ae.value, "ae_se": ae.se if math.isfinite(ae.se) else None,
             "excluded": result.n_excluded,
             "fell_back": result.n_fell_back,
         }
@@ -343,7 +345,8 @@ def cmd_simulate(args) -> int:
     sidecar_path = f"{out_prefix}.json"
     manifest_path = f"{out_prefix}.manifest.json"
     write_text_atomic(csv_path, csv_text)
-    write_text_atomic(sidecar_path, json.dumps({"value": value_key, "cells": cells}, indent=2) + "\n")
+    sidecar = json.dumps({"value": value_key, "cells": cells}, indent=2, allow_nan=False)
+    write_text_atomic(sidecar_path, sidecar + "\n")
     manifest.outputs = [csv_path, sidecar_path]
     manifest.mark_finished()
     manifest.write(manifest_path)
@@ -357,12 +360,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_moments(args) -> int:
     if args.suite == "exact":
+        if args.n_max < 1:
+            raise UsageError(f"--n-max must be at least 1, got {args.n_max}")
         rows = scalar_reduction_suite(n_max=args.n_max)
     else:
         if args.p < 1 or args.n < args.p:
             raise UsageError("mc suite needs --p >= 1 and --n >= p")
-        if args.draws < 1:
-            raise UsageError("--draws must be positive")
+        if args.draws < 2:
+            raise UsageError(f"--draws must be at least 2, got {args.draws}")
         rows = mc_moment_suite(p=args.p, n=args.n, draws=args.draws, seed=args.seed)
     width = max(len(r.name) for r in rows)
     all_ok = True

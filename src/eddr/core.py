@@ -100,34 +100,6 @@ def _check_psd(a: np.ndarray, name: str) -> None:
         ) from None
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """Raw observations for one group: rows are observations, columns features."""
-
-    observations: np.ndarray
-    group: int
-
-    def __post_init__(self):
-        obs = _as_matrix(self.observations, "observations")
-        object.__setattr__(self, "observations", obs)
-        if self.group not in (PI1, PI2):
-            raise ValueError(f"group must be 1 or 2, got {self.group}")
-        if obs.shape[0] < 2:
-            raise DimensionError("each group needs at least 2 observations")
-        if obs.shape[1] < 1:
-            raise DimensionError("need at least one feature column")
-        if not np.isfinite(obs).all():
-            raise ValueError("observations contain non-finite values")
-
-    @property
-    def n_obs(self) -> int:
-        return self.observations.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.observations.shape[1]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _power_stats(a: np.ndarray, v: np.ndarray) -> tuple:
     """tr(a), tr(a^2), then v' a^k v for k = 0..3, for a symmetric ``a``.
@@ -252,33 +224,26 @@ class TwoSampleSummary:
         return 0.0 if n1 == n2 else (n1 - n2) / (n1 * n2) * float(self.t1)
 
 
-@dataclass(frozen=True)
-class NormalParams:
-    """True population parameters of one group, used by oracles and simulations."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        mu = _as_vector(self.mu, "mu")
-        sigma = _as_matrix(self.sigma, "sigma")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        if sigma.shape != (mu.shape[0], mu.shape[0]):
-            raise DimensionError("mu and sigma disagree on dimension")
-        _check_finite(mu, "mu")
-        _check_finite(sigma, "sigma")
-        _check_symmetric(sigma, "sigma")
-        cholesky(sigma)  # must be strictly positive definite
-
-    @property
-    def p(self) -> int:
-        return self.mu.shape[0]
+def _as_observations(x) -> np.ndarray:
+    """One group's data as a float matrix: rows are observations, columns features."""
+    x = _as_matrix(x, "observations")
+    if x.shape[0] < 2:
+        raise DimensionError("each group needs at least 2 observations")
+    if x.shape[1] < 1:
+        raise DimensionError("need at least one feature column")
+    if not np.isfinite(x).all():
+        raise ValueError("observations contain non-finite values")
+    return x
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def pooled_summary(s1: LabeledSample, s2: LabeledSample) -> TwoSampleSummary:
+def pooled_summary(x1, x2) -> TwoSampleSummary:
     """Column means of both groups and the power statistics of their pooled covariance.
+
+    ``x1`` and ``x2`` hold one group each, a row per observation.  Each
+    must be a finite 2-d array with at least 2 rows and 1 column, and
+    both must have the same number of columns: otherwise
+    :class:`DimensionError`, or ``ValueError`` for a non-finite value.
 
     With ``C`` the stacked centred rows, ``S = C'C / n``.  ``S`` is never
     formed when p > N: the statistics come from the N x N dual matrix
@@ -292,35 +257,26 @@ def pooled_summary(s1: LabeledSample, s2: LabeledSample) -> TwoSampleSummary:
     A statistic that overflows comes out infinite or NaN, as in
     :func:`_power_stats`.
     """
-    if s1.p != s2.p:
-        raise DimensionError(f"groups disagree on dimension: {s1.p} vs {s2.p}")
-    x1, x2 = s1.observations, s2.observations
+    x1, x2 = _as_observations(x1), _as_observations(x2)
+    n1, p = x1.shape
+    if x2.shape[1] != p:
+        raise DimensionError(f"groups disagree on dimension: {p} vs {x2.shape[1]}")
     xbar1 = x1.mean(axis=0)
     xbar2 = x2.mean(axis=0)
     d = xbar1 - xbar2
     # C / sqrt(n), centred and scaled in place: C'C / n = S and C C' / n = G / n
     c = np.vstack([x1, x2])
-    c[: s1.n_obs] -= xbar1
-    c[s1.n_obs :] -= xbar2
+    c[:n1] -= xbar1
+    c[n1:] -= xbar2
     c /= math.sqrt(c.shape[0] - 2)
-    if s1.p <= c.shape[0]:
+    if p <= c.shape[0]:
         base = c.T @ c
         stats = _power_stats(base, d)
     else:
         base = c @ c.T
         t1, t2, q1, q2, q3, _ = _power_stats(base, c @ d)
         stats = (t1, t2, d @ d, q1, q2, q3)
-    return TwoSampleSummary(xbar1, xbar2, s1.n_obs, s2.n_obs, *stats, base)
-
-
-def oracle_score(x, params1: NormalParams, params2: NormalParams) -> float:
-    """Population discriminant score |x-mu2|^2 - |x-mu1|^2."""
-    x = _as_vector(x, "x")
-    if x.shape[0] != params1.p or params1.p != params2.p:
-        raise DimensionError("x and the population parameters disagree on dimension")
-    d2 = x - params2.mu
-    d1 = x - params1.mu
-    return float(d2 @ d2 - d1 @ d1)
+    return TwoSampleSummary(xbar1, xbar2, n1, x2.shape[0], *stats, base)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -408,9 +364,3 @@ def _psd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
         )
     return np.clip(w, 0.0, None), v
 
-
-def sym_sqrt(a) -> np.ndarray:
-    """Unique symmetric PSD square root, via :func:`_psd_eigh`'s full eigendecomposition."""
-    w, v = _psd_eigh(a)
-    root = v * np.sqrt(w) @ v.T
-    return (root + root.T) / 2.0

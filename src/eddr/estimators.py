@@ -15,11 +15,14 @@ a2..a4 and the Delta estimates can come out negative, and downstream
 calibration is expected to detect and reject infeasible combinations
 rather than have them silently clamped here.
 
-The ``*_from_traces`` kernels operate on plain scalars (or numpy arrays,
-elementwise) so that batched Monte Carlo checks can reuse them; the
-public ``*_hat`` functions apply them to the power statistics a summary
-holds (see :class:`~eddr.core.TwoSampleSummary`) and raise
-:class:`~eddr.exceptions.CalibrationInfeasibleError` when the result is
+The ``*_from_traces`` and ``*_from_stats`` kernels operate on plain
+scalars (or numpy arrays, elementwise) so that batched Monte Carlo
+checks can reuse them.  Two functions apply them to the power statistics
+a summary holds (see :class:`~eddr.core.TwoSampleSummary`):
+:func:`estimate_low` gives a1, a2, Delta_0 and Delta_1, all the M1
+cut-off needs, and :func:`estimate_all` adds a3, a4, Delta_2 and
+Delta_3.  Both raise
+:class:`~eddr.exceptions.CalibrationInfeasibleError` when an estimate is
 not finite.
 """
 
@@ -52,11 +55,6 @@ class DeltaEstimates:
     d1: float
     d2: float
     d3: float
-
-
-def _require_n(n: int, minimum: int, what: str) -> None:
-    if n < minimum:
-        raise DimensionError(f"{what} requires n >= {minimum}, got n = {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,78 +129,44 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def a1_hat(summary: TwoSampleSummary) -> float:
-    """tr(S)/p."""
-    return _finite("a1", a1_from_traces(summary.t1, summary.p))
+@np.errstate(over="ignore", invalid="ignore")
+def estimate_low(summary: TwoSampleSummary) -> tuple:
+    """``(a1, a2, delta0, delta1)``: the estimates built from t1, t2, q0 and q1 alone.
 
-
-def a2_hat(summary: TwoSampleSummary) -> float:
-    """Unbiased estimate of tr(Sigma^2)/p from tr(S^2) and (tr S)^2."""
-    _require_n(summary.n, 2, "a2_hat")
-    return _finite("a2", a2_from_traces(summary.t1, summary.t2, summary.n, summary.p))
-
-
-def a3_hat(summary: TwoSampleSummary) -> float:
-    """Estimate of tr(Sigma^3)/p from traces of the first three powers of S."""
-    _require_n(summary.n, 5, "a3_hat")
+    Never reads ``t3`` or ``t4``, so it never forms the product those
+    need.  Requires n >= 2.  Each estimate is checked as soon as it
+    exists, so an overflow names the first one it reaches; raises
+    :class:`CalibrationInfeasibleError` if an estimate is not finite.
+    """
     s = summary
-    return _finite("a3", a3_from_traces(s.t1, s.t2, s.t3, s.n, s.p))
-
-
-def a4_hat(summary: TwoSampleSummary) -> float:
-    """Estimate of tr(Sigma^4)/p from traces of the first four powers of S."""
-    _require_n(summary.n, 7, "a4_hat")
-    s = summary
-    return _finite("a4", a4_from_traces(s.t1, s.t2, s.t3, s.t4, s.n, s.p))
-
-
-def delta0_hat(summary: TwoSampleSummary) -> float:
-    """Estimate of |mu1-mu2|^2: |xbar1-xbar2|^2 minus its sampling inflation."""
-    s = summary
-    return _finite("delta0", delta0_from_stats(s.q0, a1_hat(s), s.n1, s.n2, s.p))
-
-
-def delta1_hat(summary: TwoSampleSummary) -> float:
-    """Estimate of delta' Sigma delta, re-centred with the a2 estimate."""
-    s = summary
-    return _finite("delta1", delta1_from_stats(s.q1, a2_hat(s), s.n1, s.n2, s.p))
-
-
-def delta2_hat(summary: TwoSampleSummary, traces: TraceEstimates, d1: float) -> float:
-    """Estimate of delta' Sigma^2 delta given the trace estimates and d1."""
-    _require_n(summary.n, 5, "delta2_hat")
-    s, t = summary, traces
-    return _finite("delta2", delta2_from_stats(s.q2, d1, t.a1, t.a2, t.a3, s.n, s.n1, s.n2, s.p))
-
-
-def delta3_hat(summary: TwoSampleSummary, traces: TraceEstimates, d1: float, d2: float) -> float:
-    """Estimate of delta' Sigma^3 delta given the trace estimates, d1 and d2."""
-    _require_n(summary.n, 7, "delta3_hat")
-    s, t = summary, traces
-    return _finite("delta3", delta3_from_stats(
-        s.q3, d1, d2, t.a1, t.a2, t.a3, t.a4, s.n, s.n1, s.n2, s.p
-    ))
+    n, n1, n2, p = s.n, s.n1, s.n2, s.p
+    if n < 2:
+        raise DimensionError(f"estimate_low requires n >= 2, got n = {n}")
+    a1 = _finite("a1", a1_from_traces(s.t1, p))
+    a2 = _finite("a2", a2_from_traces(s.t1, s.t2, n, p))
+    d0 = _finite("delta0", delta0_from_stats(s.q0, a1, n1, n2, p))
+    d1 = _finite("delta1", delta1_from_stats(s.q1, a2, n1, n2, p))
+    return a1, a2, d0, d1
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def estimate_all(summary: TwoSampleSummary):
-    """All eight estimates from the summary's power statistics.
+    """All eight estimates: those of :func:`estimate_low`, then a3, a4, delta2 and delta3.
 
-    Each kernel runs once, in dependency order, and each result is checked
-    as soon as it exists, so an overflow names the first estimate it
-    reaches.  Returns ``(TraceEstimates, DeltaEstimates)``; raises
-    :class:`CalibrationInfeasibleError` if an estimate is not finite.
+    Requires n >= 7.  Each kernel runs once, in dependency order, and each
+    result is checked as soon as it exists, so an overflow names the first
+    estimate it reaches.  Returns ``(TraceEstimates, DeltaEstimates)``;
+    raises :class:`CalibrationInfeasibleError` if an estimate is not
+    finite.
     """
-    _require_n(summary.n, 7, "estimate_all")
     s = summary
     n, n1, n2, p = s.n, s.n1, s.n2, s.p
-    a1 = _finite("a1", a1_from_traces(s.t1, p))
-    a2 = _finite("a2", a2_from_traces(s.t1, s.t2, n, p))
+    if n < 7:
+        raise DimensionError(f"estimate_all requires n >= 7, got n = {n}")
+    a1, a2, d0, d1 = estimate_low(s)
     a3 = _finite("a3", a3_from_traces(s.t1, s.t2, s.t3, n, p))
     a4 = _finite("a4", a4_from_traces(s.t1, s.t2, s.t3, s.t4, n, p))
-    d1 = _finite("delta1", delta1_from_stats(s.q1, a2, n1, n2, p))
     d2 = _finite("delta2", delta2_from_stats(s.q2, d1, a1, a2, a3, n, n1, n2, p))
     d3 = _finite("delta3", delta3_from_stats(s.q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p))
-    d0 = _finite("delta0", delta0_from_stats(s.q0, a1, n1, n2, p))
     return (TraceEstimates(a1=a1, a2=a2, a3=a3, a4=a4),
             DeltaEstimates(d0=d0, d1=d1, d2=d2, d3=d3))

@@ -41,14 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
-from .core import (
-    LabeledSample,
-    TwoSampleSummary,
-    _psd_eigh,
-    cholesky,
-    pooled_summary,
-    std_normal_cdf,
-)
+from .core import TwoSampleSummary, _psd_eigh, cholesky, pooled_summary, std_normal_cdf
 from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS
 # not called here: the traced benchmark (perfbench/sims.py) wraps
 # eddr.simulate.estimate_all by name
@@ -218,10 +211,7 @@ def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator) -
     """
     x1 = pop.sample_group(pop.mu1, cfg.n1, rng)
     x2 = pop.sample_group(pop.mu2, cfg.n2, rng)
-    summary = pooled_summary(
-        LabeledSample(observations=x1, group=1),
-        LabeledSample(observations=x2, group=2),
-    )
+    summary = pooled_summary(x1, x2)
     res = calibrate(summary, cfg.request, logit_variance=cfg.logit_variance,
                     anchor=cfg.anchor).result
     ce = conditional_error(error_inputs(summary, pop), res.c)

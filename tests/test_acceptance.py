@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from eddr.calibration import CutoffRequest, m1_cutoff
-from eddr.core import Dims, LabeledSample, pooled_summary, std_normal_cdf, std_normal_quantile
+from eddr.core import Dims, pooled_summary, std_normal_cdf, std_normal_quantile
 from eddr.error_model import LimitParams, h_u, h_uv, h_v
 from eddr.estimators import (
     a1_from_traces,
@@ -251,7 +251,7 @@ def test_criterion_09_error_law_at_fixed_cutoff():
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(909091, i)))
         x1 = pop.sample_group(pop.mu1, m, rng)
         x2 = pop.sample_group(pop.mu2, m, rng)
-        err = error_inputs(pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2)), pop)
+        err = error_inputs(pooled_summary(x1, x2), pop)
         ce[i] = conditional_error(err, c_star)
         u_tilde[i] = err.u_tilde
         v_stat[i] = err.v

@@ -16,7 +16,7 @@ from eddr.calibration import (
     m1_cutoff,
     m2_cutoff,
 )
-from eddr.core import Dims, LabeledSample, pooled_summary, std_normal_cdf
+from eddr.core import Dims, pooled_summary, std_normal_cdf
 from eddr.error_model import (
     LimitParams,
     asymptotic_law,
@@ -209,7 +209,7 @@ class TestCalibrate:
         p = DIMS.p
         x1 = rng.standard_normal((DIMS.n1, p)) + np.sqrt(5.0 / p)
         x2 = rng.standard_normal((DIMS.n2, p))
-        self.summary = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+        self.summary = pooled_summary(x1, x2)
         self.t, self.d = estimate_all(self.summary)
 
     def test_m1_route(self):
@@ -224,7 +224,7 @@ class TestCalibrate:
         rng = np.random.default_rng(7)
         x1 = rng.standard_normal((DIMS.n1, p)) + 0.3
         x2 = rng.standard_normal((DIMS.n2, p))
-        summary = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+        summary = pooled_summary(x1, x2)
         calibrate(summary, CutoffRequest.m1(0.3))
         assert "_high_traces" not in vars(summary)
         estimate_all(summary)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import eddr
 from eddr.calibration import CutoffRequest, calibrate
 from eddr.cli import main
-from eddr.core import LabeledSample, discriminant_score, pooled_summary
+from eddr.core import discriminant_score, pooled_summary
 from eddr.dataio import read_matrix_csv
 
 
@@ -162,8 +162,7 @@ class TestCalibrate:
         )
         assert code == 0, err
         payload = json.loads(out)
-        summary = pooled_summary(LabeledSample(read_matrix_csv(f1), 1),
-                                 LabeledSample(read_matrix_csv(f2), 2))
+        summary = pooled_summary(read_matrix_csv(f1), read_matrix_csv(f2))
         request = CutoffRequest.m2_normal(0.3, 0.1)
         lib = calibrate(summary, request, logit_variance="plain", anchor="fixed-point")
         assert payload["c"] == lib.result.c
@@ -180,8 +179,7 @@ class TestCalibrate:
             paths.append(str(tmp_path / name))
         code, out, err = run_cli(capsys, "calibrate", *paths, "--method", "m1", "--alpha", "0.2")
         assert code == 0, err
-        summary = pooled_summary(LabeledSample(read_matrix_csv(paths[0]), 1),
-                                 LabeledSample(read_matrix_csv(paths[1]), 2))
+        summary = pooled_summary(read_matrix_csv(paths[0]), read_matrix_csv(paths[1]))
         assert json.loads(out)["c"] == calibrate(summary, CutoffRequest.m1(0.2)).result.c
         code, out, err = run_cli(capsys, "classify", *paths, paths[0],
                                  "--method", "m1", "--alpha", "0.2")
@@ -203,7 +201,7 @@ class TestClassify:
             capsys, "classify", f1, f2, str(query), "--cutoff", "0.0"
         )
         assert code == 0
-        summary = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+        summary = pooled_summary(x1, x2)
         lines = out.strip().splitlines()
         assert len(lines) == 4
         for line, row in zip(lines, rows):
@@ -402,6 +400,39 @@ class TestSimulate:
         assert f"EDDR_WORKERS must be a positive integer, got {value!r}" in err
         assert list(tmp_path.glob("env*")) == []
 
+    @pytest.mark.parametrize("grids, named", [
+        (["--n-grid", "8", "--p-grid", ","], "--p-grid"),
+        (["--n-grid", "", "--p-grid", "4"], "--n-grid"),
+        (["--config", "{cfg}", "--n-grid", "8"], "--p-grid"),
+    ], ids=["p-grid-comma", "n-grid-blank", "config-p-grid-blank"])
+    def test_empty_grid_usage_error(self, capsys, tmp_path, grids, named):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("p_grid =\n")
+        grids = [g.format(cfg=cfg) for g in grids]
+        code, out, err = run_cli(
+            capsys, "simulate", *grids, "--reps", "2", "--seed", "1",
+            "--method", "m1", "--alpha", "0.2", "--out", str(tmp_path / "empty"),
+        )
+        assert code == 1
+        assert f"{named} is empty" in err
+        assert out == ""
+        assert list(tmp_path.glob("empty*")) == []
+
+    def test_single_trial_sidecar_is_strict_json(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "8", "--p-grid", "4", "--method", "m1",
+            "--alpha", "0.2", "--reps", "1", "--seed", "1", "--out", str(tmp_path / "one"),
+        )
+        assert code == 0, err
+
+        def reject(token):
+            raise ValueError(f"sidecar holds {token}")
+
+        sidecar = json.loads((tmp_path / "one.json").read_text(), parse_constant=reject)
+        (cell,) = sidecar["cells"]
+        assert cell["ae_se"] is None
+        assert 0.0 < cell["ae"] < 1.0
+
     def test_reps_defaults_to_desk_scale(self, capsys, tmp_path):
         # omit --reps entirely: a tiny grid still works with the default,
         # so keep the design minuscule
@@ -433,6 +464,21 @@ class TestVerifyMoments:
     def test_bad_p_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify-moments", "--suite", "mc", "--p", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("draws", ["1", "0"])
+    def test_too_few_draws_usage_error(self, capsys, monkeypatch, draws):
+        monkeypatch.setattr("eddr.cli.mc_moment_suite", lambda **kw: pytest.fail("sampled"))
+        code, out, err = run_cli(capsys, "verify-moments", "--suite", "mc", "--draws", draws)
+        assert code == 1
+        assert "--draws must be at least 2" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("n_max, code", [("-3", 1), ("0", 1), ("1", 0)])
+    def test_exact_range_must_hold_an_n(self, capsys, n_max, code):
+        got, out, err = run_cli(capsys, "verify-moments", "--suite", "exact", "--n-max", n_max)
+        assert got == code
+        assert out.count("PASS") == (7 if code == 0 else 0)
+        assert ("--n-max must be at least 1" in err) == (code == 1)
 
 
 class TestParsing:

@@ -9,18 +9,14 @@ import pytest
 from eddr.core import (
     PI1,
     PI2,
-    LabeledSample,
-    NormalParams,
     TwoSampleSummary,
     cholesky,
     classify,
     discriminant_score,
-    oracle_score,
     pooled_summary,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
-    sym_sqrt,
 )
 from eddr.exceptions import DimensionError, NotPositiveDefiniteError
 
@@ -35,20 +31,15 @@ PHI_M125 = 0.105649773666855257688772764026
 Z_975 = 1.95996398454005423552459443052
 
 
-def summary_of(x1, x2):
-    return pooled_summary(LabeledSample(np.asarray(x1, float), 1),
-                          LabeledSample(np.asarray(x2, float), 2))
-
-
 class TestPooledSummary:
     def test_identical_rows_give_zero_scatter(self):
-        s = summary_of([[1.0, 2.0], [1.0, 2.0]], [[3.0, -1.0], [3.0, -1.0]])
+        s = pooled_summary([[1.0, 2.0], [1.0, 2.0]], [[3.0, -1.0], [3.0, -1.0]])
         assert (s.t1, s.t2, s.t3, s.t4, s.q1, s.q2, s.q3) == (0.0,) * 7
         assert s.q0 == pytest.approx(13.0)
 
     def test_scalar_hand_example(self):
         # groups {0, 2} and {1, 3}: means 1 and 2, pooled scatter (2+2)/2
-        s = summary_of([[0.0], [2.0]], [[1.0], [3.0]])
+        s = pooled_summary([[0.0], [2.0]], [[1.0], [3.0]])
         assert s.xbar1[0] == pytest.approx(1.0)
         assert s.xbar2[0] == pytest.approx(2.0)
         assert s.t1 == pytest.approx(2.0)
@@ -60,27 +51,38 @@ class TestPooledSummary:
         x1 = rng.standard_normal((6, 4))
         x2 = rng.standard_normal((5, 4))
         perm = [2, 0, 3, 1]
-        s = summary_of(x1, x2)
-        sp = summary_of(x1[:, perm], x2[:, perm])
+        s = pooled_summary(x1, x2)
+        sp = pooled_summary(x1[:, perm], x2[:, perm])
         assert np.allclose(sp.xbar1, s.xbar1[perm])
         for name in STATS:
             assert getattr(sp, name) == pytest.approx(getattr(s, name), rel=1e-12)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            summary_of(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
+            pooled_summary(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
 
     def test_too_few_observations(self):
-        with pytest.raises(DimensionError):
-            LabeledSample(np.zeros((1, 3)), 1)
+        with pytest.raises(DimensionError, match="at least 2 observations"):
+            pooled_summary(np.zeros((1, 3)), np.zeros((2, 3)))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledSample(np.array([[1.0, np.inf], [0.0, 1.0]]), 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            pooled_summary(np.array([[1.0, np.inf], [0.0, 1.0]]), np.zeros((2, 2)))
 
-    def test_bad_group_label(self):
-        with pytest.raises(ValueError):
-            LabeledSample(np.zeros((2, 2)), 3)
+    @pytest.mark.parametrize("x1, x2, error", [
+        (np.zeros(3), np.zeros((2, 3)), DimensionError),           # 1-d
+        (np.zeros((2, 3, 1)), np.zeros((2, 3)), DimensionError),   # 3-d
+        (np.zeros((2, 3)), np.zeros((1, 3)), DimensionError),      # one row
+        (np.zeros((2, 0)), np.zeros((2, 0)), DimensionError),      # no column
+        (np.zeros((2, 3)), np.zeros((2, 4)), DimensionError),      # p differs
+        (np.zeros((2, 2)), [[0.0, np.nan], [1.0, 1.0]], ValueError),
+        (np.zeros((2, 2)), [[0.0, 1.0], [-np.inf, 1.0]], ValueError),
+    ], ids=["1-d", "3-d", "one-row", "no-column", "p-differs", "nan", "inf"])
+    def test_input_checked_for_either_group(self, x1, x2, error):
+        # each check runs on both groups, whichever holds the bad input
+        for a, b in ((x1, x2), (x2, x1)):
+            with pytest.raises(error):
+                pooled_summary(a, b)
 
 
 class TestSummaryValidation:
@@ -141,7 +143,7 @@ class TestPowerStatistics:
     def test_match_pxp_reference(self, rng, p):
         x1 = rng.standard_normal((12, p)) + 0.7
         x2 = 1.5 * rng.standard_normal((9, p))
-        got = summary_of(x1, x2)
+        got = pooled_summary(x1, x2)
         want = pxp_power_stats(x1, x2)
         for name in STATS:
             assert getattr(got, name) == pytest.approx(want[name], rel=1e-12, abs=0.0), name
@@ -150,7 +152,7 @@ class TestPowerStatistics:
     def test_from_covariance_matches_data_path(self, rng, p):
         x1 = rng.standard_normal((12, p)) + 0.7
         x2 = rng.standard_normal((9, p))
-        got = summary_of(x1, x2)
+        got = pooled_summary(x1, x2)
         want = from_cov(got.xbar1, got.xbar2, pxp_pooled_covariance(x1, x2), 12, 9)
         for name in STATS:
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
@@ -160,7 +162,7 @@ class TestPowerStatistics:
     def test_scale_equivariance(self, rng, p, scale):
         x1 = rng.standard_normal((8, p)) + 0.5
         x2 = rng.standard_normal((7, p))
-        base, scaled = summary_of(x1, x2), summary_of(scale * x1, scale * x2)
+        base, scaled = pooled_summary(x1, x2), pooled_summary(scale * x1, scale * x2)
         for k in range(1, 5):
             got, want = getattr(scaled, f"t{k}"), scale ** (2 * k) * getattr(base, f"t{k}")
             assert got == pytest.approx(want, rel=1e-12)
@@ -172,7 +174,7 @@ class TestPowerStatistics:
     def test_high_traces_from_the_kept_matrix(self, rng, p):
         x1 = rng.standard_normal((12, p)) + 0.7
         x2 = rng.standard_normal((9, p))
-        s = summary_of(x1, x2)
+        s = pooled_summary(x1, x2)
         a = s._power_base
         assert a.shape == (min(p, 21),) * 2
         a2 = a @ a.T
@@ -188,11 +190,11 @@ class TestPowerStatistics:
 
     def test_no_pxp_matrix_when_p_exceeds_n(self, rng):
         # a p x p float matrix at p = 2000 alone takes 32 MB
-        s1 = LabeledSample(rng.standard_normal((10, 2000)), 1)
-        s2 = LabeledSample(rng.standard_normal((10, 2000)), 2)
+        x1 = rng.standard_normal((10, 2000))
+        x2 = rng.standard_normal((10, 2000))
         tracemalloc.start()
         try:
-            pooled_summary(s1, s2)
+            pooled_summary(x1, x2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -200,26 +202,6 @@ class TestPowerStatistics:
 
 
 class TestScores:
-    def test_oracle_midpoint(self, rng):
-        mu1 = rng.standard_normal(4)
-        mu2 = rng.standard_normal(4)
-        eye = np.eye(4)
-        x = (mu1 + mu2) / 2
-        val = oracle_score(x, NormalParams(mu1, eye), NormalParams(mu2, eye))
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_oracle_at_centroid(self, rng):
-        mu1 = rng.standard_normal(4)
-        mu2 = rng.standard_normal(4)
-        eye = np.eye(4)
-        val = oracle_score(mu1, NormalParams(mu1, eye), NormalParams(mu2, eye))
-        assert val == pytest.approx(float((mu1 - mu2) @ (mu1 - mu2)))
-
-    def test_oracle_scalar_example(self):
-        one = np.eye(1)
-        val = oracle_score([0.5], NormalParams([1.0], one), NormalParams([-1.0], one))
-        assert val == pytest.approx(2.0)
-
     def test_discriminant_balanced_midpoint(self):
         s = from_cov(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.eye(2), 5, 5)
         assert discriminant_score([0.0, 3.7], s) == pytest.approx(0.0, abs=1e-12)
@@ -253,8 +235,8 @@ class TestScores:
         cov = random_spd(3, rng)
         s = from_cov(rng.standard_normal(3), rng.standard_normal(3), cov, 6, 6)
         x = rng.standard_normal(3)
-        oracle = oracle_score(x, NormalParams(s.xbar1, np.eye(3)), NormalParams(s.xbar2, np.eye(3)))
-        assert discriminant_score(x, s) == pytest.approx(oracle, rel=1e-12)
+        d2, d1 = x - s.xbar2, x - s.xbar1
+        assert discriminant_score(x, s) == pytest.approx(d2 @ d2 - d1 @ d1, rel=1e-12)
 
 
 class TestClassify:
@@ -369,32 +351,9 @@ class TestFactorizations:
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(np.diag([1.0, -1.0]))
 
-    def test_sym_sqrt_identity(self):
-        assert np.allclose(sym_sqrt(np.eye(4)), np.eye(4))
-
-    def test_sym_sqrt_diagonal(self):
-        assert np.allclose(sym_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_sym_sqrt_reconstruction(self, rng):
-        a = random_spd(7, rng)
-        root = sym_sqrt(a)
-        assert np.allclose(root, root.T)
-        assert np.allclose(root @ root, a, rtol=1e-8, atol=1e-10)
-
-    def test_sym_sqrt_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            sym_sqrt(np.diag([1.0, -0.5]))
-
-    def test_sym_sqrt_allows_singular(self, rng):
-        v = rng.standard_normal(4)
-        a = np.outer(v, v)
-        root = sym_sqrt(a)
-        assert np.allclose(root @ root, a, atol=1e-10)
-
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("build", [cholesky, sym_sqrt, lambda s: NormalParams(np.zeros(3), s)],
-                         ids=["cholesky", "sym_sqrt", "NormalParams"])
+@pytest.mark.parametrize("build", [cholesky], ids=["cholesky"])
 def test_nonfinite_matrix_rejected_first(build, value):
     s = np.eye(3)
     s[0, 1] = s[1, 0] = value
@@ -403,12 +362,3 @@ def test_nonfinite_matrix_rejected_first(build, value):
         with pytest.raises(ValueError, match="contains non-finite values"):
             build(s)
 
-
-class TestNormalParams:
-    def test_requires_strict_pd(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            NormalParams(np.zeros(2), np.zeros((2, 2)))
-
-    def test_dimension_check(self):
-        with pytest.raises(DimensionError):
-            NormalParams(np.zeros(3), np.eye(2))

@@ -10,21 +10,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eddr.core import LabeledSample, TwoSampleSummary, pooled_summary
+from eddr.core import TwoSampleSummary, pooled_summary
 from eddr.estimators import (
-    a1_hat,
-    a2_hat,
+    a1_from_traces,
     a2_from_traces,
     a3_from_traces,
-    a3_hat,
     a4_coefficients,
     a4_from_traces,
-    a4_hat,
-    delta0_hat,
-    delta1_hat,
-    delta2_hat,
-    delta3_hat,
+    delta0_from_stats,
+    delta1_from_stats,
+    delta2_from_stats,
+    delta3_from_stats,
     estimate_all,
+    estimate_low,
 )
 from eddr.exceptions import DimensionError
 
@@ -39,54 +37,55 @@ def summary_with(s, xbar1, xbar2, n1, n2):
 def gaussian_summary(rng, n1=8, n2=9, p=5):
     x1 = rng.standard_normal((n1, p)) + 0.8
     x2 = rng.standard_normal((n2, p))
-    return pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+    return pooled_summary(x1, x2)
 
 
 class TestTraceEstimators:
     def test_a1_identity(self):
         s = summary_with(np.eye(4), np.zeros(4), np.zeros(4), 5, 5)
-        assert a1_hat(s) == pytest.approx(1.0)
+        assert estimate_low(s)[0] == pytest.approx(1.0)
         s2 = summary_with(2 * np.eye(4), np.zeros(4), np.zeros(4), 5, 5)
-        assert a1_hat(s2) == pytest.approx(2.0)
+        assert estimate_low(s2)[0] == pytest.approx(2.0)
 
     def test_a2_hand_example(self):
         # n = 4, p = 2, S = I: (16/36) * (2 - 4/4) = 4/9
         s = summary_with(np.eye(2), np.zeros(2), np.zeros(2), 3, 3)
-        assert a2_hat(s) == pytest.approx(4.0 / 9.0)
+        assert estimate_low(s)[1] == pytest.approx(4.0 / 9.0)
 
     def test_a2_zero_matrix(self):
         s = summary_with(np.zeros((2, 2)), np.zeros(2), np.zeros(2), 3, 3)
-        assert a2_hat(s) == 0.0
+        assert estimate_low(s)[1] == 0.0
 
     def test_a3_hand_example(self):
         # n = 6, p = 2, S = I: (36/3200) * (36*2 - 18*4 + 2*8) = 0.18
         s = summary_with(np.eye(2), np.zeros(2), np.zeros(2), 4, 4)
-        assert a3_hat(s) == pytest.approx(0.18)
+        assert a3_from_traces(s.t1, s.t2, s.t3, s.n, s.p) == pytest.approx(0.18)
 
     def test_a4_zero_matrix(self):
         s = summary_with(np.zeros((3, 3)), np.zeros(3), np.zeros(3), 5, 6)
-        assert a4_hat(s) == 0.0
+        assert estimate_all(s)[0].a4 == 0.0
 
     def test_minimum_sample_sizes(self):
-        tiny = summary_with(np.eye(2), np.zeros(2), np.zeros(2), 2, 2)  # n = 2
-        with pytest.raises(DimensionError):
-            a3_hat(tiny)
+        one = summary_with(np.eye(2), np.zeros(2), np.zeros(2), 2, 1)  # n = 1
+        with pytest.raises(DimensionError, match="n >= 2, got n = 1"):
+            estimate_low(one)
+        estimate_low(summary_with(np.eye(2), np.zeros(2), np.zeros(2), 2, 2))  # n = 2 suffices
         small = summary_with(np.eye(2), np.zeros(2), np.zeros(2), 4, 4)  # n = 6
-        with pytest.raises(DimensionError):
-            a4_hat(small)
+        with pytest.raises(DimensionError, match="n >= 7, got n = 6"):
+            estimate_all(small)
 
 
 class TestDeltaEstimators:
     def test_equal_means_keeps_centring_term(self):
         s = summary_with(np.eye(3), np.ones(3), np.ones(3), 4, 4)
         expected = -(8 * 3 / 16) * 1.0  # -(N p / (n1 n2)) a1
-        assert delta0_hat(s) == pytest.approx(expected)
-        assert delta0_hat(s) < 0
+        d0 = estimate_low(s)[2]
+        assert d0 == pytest.approx(expected)
+        assert d0 < 0
 
     def test_degenerate_zero(self):
         s = summary_with(np.zeros((3, 3)), np.ones(3), np.ones(3), 4, 4)
-        assert delta0_hat(s) == 0.0
-        assert delta1_hat(s) == 0.0
+        assert estimate_low(s)[2:] == (0.0, 0.0)
 
     def test_delta2_degenerate_hand_value(self):
         # equal means and S = I: only the centring terms survive
@@ -106,15 +105,14 @@ class TestDeltaEstimators:
         d1f = Fraction(0) - n_tot * pf / Fraction(n1 * n2) * a2f
         centre = n_tot * pf / Fraction(n1 * n2) * ((n + 1) / n * a3f + pf / n * a1f * a2f)
         expected = (Fraction(0) - pf / n * a1f * d1f - centre) / (1 + 1 / n)
-        got = delta2_hat(s, traces, deltas.d1)
-        assert got == pytest.approx(float(expected), rel=1e-12)
+        assert deltas.d2 == pytest.approx(float(expected), rel=1e-12)
 
     def test_homogeneity_degrees(self, rng):
         x1 = rng.standard_normal((9, 4)) + 1.0
         x2 = rng.standard_normal((10, 4))
         t = 1.7
-        s1 = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
-        s2 = pooled_summary(LabeledSample(t * x1, 1), LabeledSample(t * x2, 2))
+        s1 = pooled_summary(x1, x2)
+        s2 = pooled_summary(t * x1, t * x2)
         tr1, de1 = estimate_all(s1)
         tr2, de2 = estimate_all(s2)
         for i, (v1, v2) in enumerate(zip((tr1.a1, tr1.a2, tr1.a3, tr1.a4),
@@ -128,8 +126,8 @@ class TestDeltaEstimators:
         x1 = rng.standard_normal((9, 5)) + 0.5
         x2 = rng.standard_normal((8, 5))
         q = random_orthogonal(5, rng)
-        s1 = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
-        s2 = pooled_summary(LabeledSample(x1 @ q.T, 1), LabeledSample(x2 @ q.T, 2))
+        s1 = pooled_summary(x1, x2)
+        s2 = pooled_summary(x1 @ q.T, x2 @ q.T)
         t1, d1 = estimate_all(s1)
         t2, d2 = estimate_all(s2)
         for v1, v2 in zip((t1.a1, t1.a2, t1.a3, t1.a4, d1.d0, d1.d1, d1.d2, d1.d3),
@@ -137,17 +135,24 @@ class TestDeltaEstimators:
             assert v2 == pytest.approx(v1, rel=1e-9)
 
     def test_estimate_all_matches_individual_ops(self, rng):
-        # bit for bit: estimate_all evaluates the same kernels once each
+        # bit for bit: both functions evaluate the kernels once each, in order
         for p, scale in [(5, 1.0), (5, 1e-5), (5, 3e4), (40, 1.0), (40, 1e-5), (40, 3e4)]:
             x1 = scale * (rng.standard_normal((8, p)) + 0.8)  # N = 17
             x2 = scale * rng.standard_normal((9, p))
-            s = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+            s = pooled_summary(x1, x2)
+            n, n1, n2 = s.n, s.n1, s.n2
+            a1 = a1_from_traces(s.t1, p)
+            a2 = a2_from_traces(s.t1, s.t2, n, p)
+            a3 = a3_from_traces(s.t1, s.t2, s.t3, n, p)
+            a4 = a4_from_traces(s.t1, s.t2, s.t3, s.t4, n, p)
+            d0 = delta0_from_stats(s.q0, a1, n1, n2, p)
+            d1 = delta1_from_stats(s.q1, a2, n1, n2, p)
+            d2 = delta2_from_stats(s.q2, d1, a1, a2, a3, n, n1, n2, p)
+            d3 = delta3_from_stats(s.q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p)
             traces, deltas = estimate_all(s)
-            assert (traces.a1, traces.a2, traces.a3, traces.a4) == (
-                a1_hat(s), a2_hat(s), a3_hat(s), a4_hat(s))
-            assert (deltas.d0, deltas.d1) == (delta0_hat(s), delta1_hat(s))
-            assert deltas.d2 == delta2_hat(s, traces, deltas.d1)
-            assert deltas.d3 == delta3_hat(s, traces, deltas.d1, deltas.d2)
+            assert (traces.a1, traces.a2, deltas.d0, deltas.d1) == estimate_low(s)
+            assert (traces.a1, traces.a2, traces.a3, traces.a4) == (a1, a2, a3, a4)
+            assert (deltas.d0, deltas.d1, deltas.d2, deltas.d3) == (d0, d1, d2, d3)
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +239,7 @@ class TestMonteCarloSanity:
         for i in range(reps):
             x1 = rng.standard_normal((m, p)) + mu
             x2 = rng.standard_normal((m, p))
-            s = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
-            vals[i] = delta0_hat(s)
+            s = pooled_summary(x1, x2)
+            vals[i] = estimate_low(s)[2]
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - 5.0) < 4 * se

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eddr.calibration import CutoffRequest, calibrate
-from eddr.core import LabeledSample, discriminant_score, pooled_summary
+from eddr.core import discriminant_score, pooled_summary
 from eddr.estimators import estimate_all
 from eddr.exceptions import EddrError
 
@@ -46,7 +46,7 @@ def outcome(fn):
 
 def quantities(x1, x2, query):
     """Everything the rule computes from the data, keyed by name."""
-    summary = pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
+    summary = pooled_summary(x1, x2)
     out = {name: getattr(summary, name) for name in STATS}
     out["score"] = discriminant_score(query, summary)
     estimates = outcome(lambda: estimate_all(summary))

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eddr.calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
-from eddr.core import LabeledSample, pooled_summary
+from eddr.core import pooled_summary
 from eddr.error_model import estimator_covariance
 from eddr.estimators import estimate_all
 from eddr.exceptions import CalibrationInfeasibleError
@@ -33,7 +33,7 @@ def summary_of(design, s):
     rng = np.random.default_rng(seed)
     x1 = rng.standard_normal((n1, p)) + np.sqrt(5.0 / p)
     x2 = rng.standard_normal((n2, p))
-    return pooled_summary(LabeledSample(s * x1, 1), LabeledSample(s * x2, 2))
+    return pooled_summary(s * x1, s * x2)
 
 
 def estimates(design, s):

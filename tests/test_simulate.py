@@ -7,9 +7,9 @@ import pytest
 
 import eddr.simulate as sim
 from eddr.calibration import CutoffRequest
-from eddr.core import Dims, LabeledSample, cholesky, pooled_summary
+from eddr.core import Dims, cholesky, pooled_summary
 from eddr.error_model import limit_params
-from eddr.estimators import a1_hat, estimate_all
+from eddr.estimators import estimate_all, estimate_low
 from eddr.exceptions import (
     CalibrationInfeasibleError,
     NotPositiveDefiniteError,
@@ -29,10 +29,6 @@ from eddr.simulate import (
     run_simulation,
     run_trial,
 )
-
-
-def summary_of(x1, x2):
-    return pooled_summary(LabeledSample(x1, 1), LabeledSample(x2, 2))
 
 
 def m1_config(**kw):
@@ -110,7 +106,7 @@ class TestTrialMechanics:
         pop = make_population(m1_config())
         x1 = pop.sample_group(pop.mu1, 8, rng)
         x2 = pop.sample_group(pop.mu2, 8, rng)
-        err = error_inputs(summary_of(x1, x2), pop)
+        err = error_inputs(pooled_summary(x1, x2), pop)
         assert err.bias == 0.0
         assert err.u_tilde == err.u
 
@@ -118,9 +114,9 @@ class TestTrialMechanics:
         pop = make_population(m1_config())
         x1 = pop.sample_group(pop.mu1, 10, rng)
         x2 = pop.sample_group(pop.mu2, 6, rng)
-        summary = summary_of(x1, x2)
+        summary = pooled_summary(x1, x2)
         err = error_inputs(summary, pop)
-        expected = (1 / 6 - 1 / 10) * 8 * a1_hat(summary) / 2
+        expected = (1 / 6 - 1 / 10) * 8 * estimate_low(summary)[0] / 2
         assert err.bias == pytest.approx(expected, rel=1e-12)
         assert err.bias == summary.score_bias / 2  # half the score's correction
 
@@ -132,7 +128,7 @@ class TestTrialMechanics:
         pop = make_population(cfg)
         x1 = pop.sample_group(pop.mu1, 12, rng)
         x2 = pop.sample_group(pop.mu2, 12, rng)
-        err = error_inputs(summary_of(x1, x2), pop)
+        err = error_inputs(pooled_summary(x1, x2), pop)
         c = 0.4
         analytic = conditional_error(err, c)
         m = 400_000
@@ -154,7 +150,7 @@ class TestTrialMechanics:
             rng = np.random.default_rng(31)
             x1 = pop.sample_group(pop.mu1, 9, rng)
             x2 = pop.sample_group(pop.mu2, 12, rng)
-            traces, deltas = estimate_all(summary_of(x1, x2))
+            traces, deltas = estimate_all(pooled_summary(x1, x2))
             lp = limit_params(deltas, traces, Dims(9, 12, p))
             assert fast == pytest.approx(m1_cutoff(lp, 0.2).c, rel=1e-12)
 
@@ -169,7 +165,7 @@ class TestTrialMechanics:
         x1 = rng.standard_normal((9, p)) @ chol.T + mu1
         x2 = rng.standard_normal((14, p)) @ chol.T + mu2
         _, w = np.linalg.eigh(sigma)
-        err = error_inputs(summary_of(x1 @ w, x2 @ w), make_population(cfg))
+        err = error_inputs(pooled_summary(x1 @ w, x2 @ w), make_population(cfg))
         xb1, xb2 = x1.mean(0), x2.mean(0)
         d = xb1 - xb2
         tr_s = (((x1 - xb1) ** 2).sum() + ((x2 - xb2) ** 2).sum()) / (9 + 14 - 2)

@@ -1,8 +1,10 @@
-"""Checks on what the package loads and on the traced benchmark's hooks.
+"""Checks on what the package loads and on the benchmark's hooks.
 
 ``perfbench/run.py --trace 1`` replaces eddr functions by name (see
 ``perfbench/sims.py`` and ``perfbench/tracing.py``); a rename in eddr
 would break it, so one test installs both sets of wrappers and restores them.
+``perfbench/cli_workload.py`` imports the estimator kernels by name, so the
+fixture imports it too.
 """
 
 import os
@@ -23,10 +25,11 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 @pytest.fixture
 def perfbench_modules(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
+    import cli_workload
     import sims
     import tracing
 
-    return sims, tracing
+    return sims, tracing, cli_workload
 
 
 def _attributes():
@@ -35,7 +38,7 @@ def _attributes():
 
 
 def test_trace_wrappers_install_and_restore(perfbench_modules):
-    sims, tracing = perfbench_modules
+    sims, tracing, _ = perfbench_modules
     before = _attributes()
     tracer = tracing.Tracer()
     try:
