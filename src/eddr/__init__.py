@@ -42,7 +42,7 @@ from .error_model import (
     h_u,
     h_uv,
     h_v,
-    limit_params,
+    limit_values,
     statistic_covariance,
 )
 from .estimators import (
@@ -74,14 +74,8 @@ from .simulate import (
 )
 from .wishart import (
     MomentQuery,
+    all_moments,
     cov_delta01,
-    moment_i,
-    moment_ii,
-    moment_iii,
-    moment_iv,
-    moment_v,
-    moment_vi,
-    moment_vii,
     quad_moment_mean,
     quad_moment_product,
     sample_wishart,

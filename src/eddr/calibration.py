@@ -31,7 +31,6 @@ from .error_model import (
     asymptotic_law,
     estimator_covariance,
     expected_error,
-    limit_params,
     limit_values,
 )
 from .estimators import estimate_all, estimate_low
@@ -226,14 +225,13 @@ def calibrate(
     """
     if anchor not in M2_ANCHORS:
         raise ValueError(f"unknown anchor {anchor!r}")
-    dims = summary.dims
     if request.variant == CutoffVariant.M1:
         _, a2, d0, d1 = estimate_low(summary)
-        lp = LimitParams(*limit_values(d0, d1, a2, dims))
+        lp = LimitParams(*limit_values(d0, d1, a2, summary))
         return CalibrationOutcome(result=m1_cutoff(lp, request.alpha), limit=lp, law=None)
     traces, deltas = estimate_all(summary)
-    lp = limit_params(deltas, traces, dims)
-    theta = estimator_covariance(deltas, traces, dims)
+    lp = LimitParams(*limit_values(deltas.d0, deltas.d1, traces.a2, summary))
+    theta = estimator_covariance(deltas, traces, summary)
     # start where the limiting error equals the target upper bound
     c = _quantile_cutoff(lp, request.eu)
     for _ in range(1 + FIXED_POINT_MAX_ITER if anchor == "fixed-point" else 1):

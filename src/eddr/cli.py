@@ -31,7 +31,7 @@ from .calibration import (
 from .core import classify, discriminant_score, pooled_summary
 from .dataio import RunManifest, format_table_value, read_matrix_csv, write_text_atomic
 from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS, limit_values
-from .estimators import estimate_all, estimate_low
+from .estimators import estimate_all
 from .exceptions import (
     CalibrationInfeasibleError,
     DataFormatError,
@@ -107,7 +107,7 @@ def _calibration_knobs(settings: dict) -> dict:
 def cmd_estimate(args) -> int:
     summary = _load_training(args)
     traces, deltas = estimate_all(summary)
-    u0, v0 = limit_values(deltas.d0, deltas.d1, traces.a2, summary.dims)
+    u0, v0 = limit_values(deltas.d0, deltas.d1, traces.a2, summary)
     values = {
         "a1": traces.a1,
         "a2": traces.a2,
@@ -151,7 +151,7 @@ def cmd_calibrate(args) -> int:
         "fell_back": res.fell_back,
         "e0": request.alpha if request.variant == CutoffVariant.M1 else outcome.law.e0,
         "tau2": None if outcome.law is None else outcome.law.tau2,
-        "a1": estimate_low(summary)[0],
+        "a1": float(summary.t1) / summary.p,
         "u0": outcome.limit.u0,
         "v0": outcome.limit.v0,
     }

@@ -28,7 +28,11 @@ PI2 = 2
 
 @dataclass(frozen=True)
 class Dims:
-    """Two-group design sizes shared by the moment and variance formulas."""
+    """Two-group design sizes (n1, n2, p), checked here and nowhere else.
+
+    A :class:`TwoSampleSummary` is a ``Dims``, so it can go wherever the
+    moment, limit and variance formulas expect one.
+    """
 
     n1: int
     n2: int
@@ -114,8 +118,8 @@ def _power_stats(a: np.ndarray, v: np.ndarray) -> tuple:
 
 
 @dataclass(frozen=True)
-class TwoSampleSummary:
-    """Sufficient statistics of the two training samples.
+class TwoSampleSummary(Dims):
+    """Sufficient statistics of the two training samples, and their :class:`Dims`.
 
     With ``S`` the pooled covariance (divisor ``n = n1 + n2 - 2``) and
     ``d = xbar1 - xbar2``, the summary holds ``t_k = tr(S^k)`` for
@@ -129,12 +133,12 @@ class TwoSampleSummary:
     cut-off and the rule never read ``t3`` or ``t4``, so they never pay
     for that matrix product.  :func:`pooled_summary` builds a summary
     from data and :meth:`from_covariance` from a user-supplied ``S``.
+    The fields start with the sizes ``n1, n2, p``, which
+    :meth:`Dims.__post_init__` checks when the summary is built.
     """
 
     xbar1: np.ndarray
     xbar2: np.ndarray
-    n1: int
-    n2: int
     t1: float
     t2: float
     q0: float
@@ -144,14 +148,13 @@ class TwoSampleSummary:
     _power_base: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
+        super().__post_init__()
         x1 = _as_vector(self.xbar1, "xbar1")
         x2 = _as_vector(self.xbar2, "xbar2")
         object.__setattr__(self, "xbar1", x1)
         object.__setattr__(self, "xbar2", x2)
-        if x2.shape[0] != x1.shape[0]:
-            raise DimensionError("xbar1 and xbar2 disagree on dimension")
-        if self.n < 1:
-            raise DimensionError("need n = n1 + n2 - 2 >= 1")
+        if x1.shape[0] != self.p or x2.shape[0] != self.p:
+            raise DimensionError("xbar1 and xbar2 must have length p")
         base = _as_matrix(self._power_base, "power_base")
         if base.shape[0] != base.shape[1]:
             raise DimensionError("power_base must be square")
@@ -162,7 +165,8 @@ class TwoSampleSummary:
         """Summary of a user-supplied pooled covariance ``s``.
 
         ``s`` must be symmetric and positive semidefinite; it may be
-        singular when p > n, since nothing downstream inverts it.  The
+        singular when p > n, since nothing downstream inverts it.  As for
+        every summary, ``n1`` and ``n2`` must be at least 2.  The
         summary keeps its own copy of ``s``, so changing ``s`` afterwards
         leaves ``t3`` and ``t4`` as they were.
         """
@@ -176,7 +180,7 @@ class TwoSampleSummary:
         _check_symmetric(s, "s")
         _check_psd(s, "s")
         s = s.copy(order="K")
-        return cls(x1, x2, n1, n2, *_power_stats(s, x1 - x2), s)
+        return cls(n1, n2, x1.shape[0], x1, x2, *_power_stats(s, x1 - x2), s)
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
@@ -195,22 +199,6 @@ class TwoSampleSummary:
     def t4(self) -> float:
         """tr(S^4); computed with ``t3`` on first read."""
         return self._high_traces[1]
-
-    @property
-    def p(self) -> int:
-        return self.xbar1.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2 - 2
-
-    @property
-    def n_total(self) -> int:
-        return self.n1 + self.n2
-
-    @property
-    def dims(self) -> Dims:
-        return Dims(n1=self.n1, n2=self.n2, p=self.p)
 
     @property
     def mean_diff(self) -> np.ndarray:
@@ -276,7 +264,7 @@ def pooled_summary(x1, x2) -> TwoSampleSummary:
         base = c @ c.T
         t1, t2, q1, q2, q3, _ = _power_stats(base, c @ d)
         stats = (t1, t2, d @ d, q1, q2, q3)
-    return TwoSampleSummary(xbar1, xbar2, n1, x2.shape[0], *stats, base)
+    return TwoSampleSummary(n1, x2.shape[0], p, xbar1, xbar2, *stats, base)
 
 
 @np.errstate(over="ignore", invalid="ignore")

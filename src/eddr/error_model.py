@@ -92,15 +92,13 @@ class AsymptoticLaw:
 
 
 def limit_values(d0: float, d1: float, a2: float, dims: Dims) -> tuple[float, float]:
-    """Unvalidated plug-in limits u0 = -d0/2 and v0 = d1 + N p a2/(n1 n2)."""
+    """Plug-in limits u0 = -d0/2 and v0 = d1 + N p a2/(n1 n2), unvalidated.
+
+    ``LimitParams(*limit_values(...))`` rejects v0 <= 0.
+    """
     u0 = -d0 / 2.0
     v0 = d1 + dims.n_total * dims.p * a2 / (dims.n1 * dims.n2)
     return float(u0), float(v0)
-
-
-def limit_params(d: DeltaEstimates, t: TraceEstimates, dims: Dims) -> LimitParams:
-    """:func:`limit_values` from the estimates; rejects v0 <= 0."""
-    return LimitParams(*limit_values(d.d0, d.d1, t.a2, dims))
 
 
 def expected_error(lp: LimitParams, c: float) -> float:

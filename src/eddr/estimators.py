@@ -21,9 +21,10 @@ checks can reuse them.  Two functions apply them to the power statistics
 a summary holds (see :class:`~eddr.core.TwoSampleSummary`):
 :func:`estimate_low` gives a1, a2, Delta_0 and Delta_1, all the M1
 cut-off needs, and :func:`estimate_all` adds a3, a4, Delta_2 and
-Delta_3.  Both raise
-:class:`~eddr.exceptions.CalibrationInfeasibleError` when an estimate is
-not finite.
+Delta_3.  Every summary has n1, n2 >= 2, so n >= 2, which is all
+:func:`estimate_low` needs; :func:`estimate_all` needs n >= 7.  Both
+raise :class:`~eddr.exceptions.CalibrationInfeasibleError` when an
+estimate is not finite.
 """
 
 from __future__ import annotations
@@ -134,14 +135,12 @@ def estimate_low(summary: TwoSampleSummary) -> tuple:
     """``(a1, a2, delta0, delta1)``: the estimates built from t1, t2, q0 and q1 alone.
 
     Never reads ``t3`` or ``t4``, so it never forms the product those
-    need.  Requires n >= 2.  Each estimate is checked as soon as it
-    exists, so an overflow names the first one it reaches; raises
+    need.  Each estimate is checked as soon as it exists, so an overflow
+    names the first one it reaches; raises
     :class:`CalibrationInfeasibleError` if an estimate is not finite.
     """
     s = summary
     n, n1, n2, p = s.n, s.n1, s.n2, s.p
-    if n < 2:
-        raise DimensionError(f"estimate_low requires n >= 2, got n = {n}")
     a1 = _finite("a1", a1_from_traces(s.t1, p))
     a2 = _finite("a2", a2_from_traces(s.t1, s.t2, n, p))
     d0 = _finite("delta0", delta0_from_stats(s.q0, a1, n1, n2, p))

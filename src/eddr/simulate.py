@@ -41,12 +41,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
-from .core import TwoSampleSummary, _psd_eigh, cholesky, pooled_summary, std_normal_cdf
+from .core import Dims, TwoSampleSummary, _psd_eigh, cholesky, pooled_summary, std_normal_cdf
 from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS
 # not called here: the traced benchmark (perfbench/sims.py) wraps
 # eddr.simulate.estimate_all by name
 from .estimators import estimate_all  # noqa: F401
-from .exceptions import CalibrationInfeasibleError, DimensionError, SimulationError
+from .exceptions import CalibrationInfeasibleError, SimulationError
 
 #: Separation between the group means on the squared-distance scale used
 #: by the simulation design: mu1 is placed so that Sigma^{-1/2} mu1 has
@@ -74,8 +74,7 @@ class SimConfig:
     anchor: str = DEFAULT_M2_ANCHOR
 
     def __post_init__(self):
-        if self.p < 1 or self.n1 < 2 or self.n2 < 2:
-            raise DimensionError("need p >= 1 and n1, n2 >= 2")
+        Dims(self.n1, self.n2, self.p)  # raises DimensionError for bad sizes
         if not abs(self.rho) < 1:
             raise ValueError("rho must satisfy |rho| < 1")
         if self.bandwidth < 0:

@@ -291,43 +291,8 @@ _MOMENT_KERNELS = {
 MOMENT_POWERS = {"i": 2, "ii": 2, "iii": 3, "iv": 4, "v": 4, "vi": 6, "vii": 6}
 
 
-def moment_i(q: MomentQuery) -> float:
-    """E[tr(aW) tr(bW)]."""
-    return float(moment_i_terms(q.n, q.invariants))
-
-
-def moment_ii(q: MomentQuery) -> float:
-    """E[tr(aWbW)]."""
-    return float(moment_ii_terms(q.n, q.invariants))
-
-
-def moment_iii(q: MomentQuery) -> float:
-    """E[tr(aW^3)]."""
-    return float(moment_iii_terms(q.n, q.invariants))
-
-
-def moment_iv(q: MomentQuery) -> float:
-    """E[tr(aW^2) tr(bW^2)]."""
-    return float(moment_iv_terms(q.n, q.invariants))
-
-
-def moment_v(q: MomentQuery) -> float:
-    """E[tr(aW^2 b W^2)]."""
-    return float(moment_v_terms(q.n, q.invariants))
-
-
-def moment_vi(q: MomentQuery) -> float:
-    """E[tr(aW^3) tr(bW^3)]."""
-    return float(moment_vi_terms(q.n, q.invariants))
-
-
-def moment_vii(q: MomentQuery) -> float:
-    """E[tr(aW^3 b W^3)]."""
-    return float(moment_vii_terms(q.n, q.invariants))
-
-
 def all_moments(q: MomentQuery) -> dict:
-    """All seven moments, sharing one invariant computation."""
+    """All seven moments, keyed "i" … "vii", sharing one invariant computation."""
     v = q.invariants
     return {name: float(kernel(q.n, v)) for name, kernel in _MOMENT_KERNELS.items()}
 
@@ -454,13 +419,6 @@ __all__ = [
     "MomentQuery",
     "TraceInvariants",
     "trace_invariants",
-    "moment_i",
-    "moment_ii",
-    "moment_iii",
-    "moment_iv",
-    "moment_v",
-    "moment_vi",
-    "moment_vii",
     "all_moments",
     "chi_square_moment",
     "quad_moment_mean",

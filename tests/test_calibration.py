@@ -22,7 +22,7 @@ from eddr.error_model import (
     asymptotic_law,
     estimator_covariance,
     expected_error,
-    limit_params,
+    limit_values,
 )
 from eddr.estimators import estimate_all
 
@@ -215,7 +215,7 @@ class TestCalibrate:
     def test_m1_route(self):
         out = calibrate(self.summary, CutoffRequest.m1(0.3))
         assert out.law is None
-        assert out.limit == limit_params(self.d, self.t, DIMS)
+        assert out.limit == LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
         assert expected_error(out.limit, out.result.c) == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("p", [16, 200])  # N = 64: p <= N and p > N
@@ -233,7 +233,7 @@ class TestCalibrate:
     def test_m2_route_reports_law(self):
         out = calibrate(self.summary, CutoffRequest.m2_logit(0.2, 0.1))
         assert out.law is not None
-        assert out.limit == limit_params(self.d, self.t, DIMS)
+        assert out.limit == LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
         assert out.law.e0 == pytest.approx(0.2, abs=1e-12)  # anchored at the bound
         assert 0.0 < out.result.gamma < 0.2
         assert out.result.c == m1_cutoff(out.limit, out.result.gamma).c
@@ -244,7 +244,7 @@ class TestCalibrate:
         out_fp = calibrate(self.summary, req, anchor="fixed-point")
         # the self-consistent cut-off is less conservative here
         assert out_fp.result.c > out_eu.result.c
-        lp = limit_params(self.d, self.t, DIMS)
+        lp = LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
         theta = estimator_covariance(self.d, self.t, DIMS)
         law = asymptotic_law(lp, theta, out_fp.result.c)
         res = m2_cutoff(lp, law, req)

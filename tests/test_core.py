@@ -9,6 +9,7 @@ import pytest
 from eddr.core import (
     PI1,
     PI2,
+    Dims,
     TwoSampleSummary,
     cholesky,
     classify,
@@ -109,6 +110,20 @@ class TestSummaryValidation:
         with pytest.raises(DimensionError):
             from_cov(np.zeros(3), np.zeros(3), np.eye(2), 3, 3)
 
+    def test_summary_is_its_dims(self, rng):
+        s = pooled_summary(rng.standard_normal((5, 3)), rng.standard_normal((4, 3)))
+        assert isinstance(s, Dims)
+        assert (s.n1, s.n2, s.p, s.n, s.n_total) == (5, 4, 3, 7, 9)
+
+    @pytest.mark.parametrize("n1, n2", [(3, 1), (2, 1), (1, 3)])
+    def test_group_below_two_rejected_when_built(self, n1, n2):
+        with pytest.raises(DimensionError, match="n1, n2 >= 2"):
+            from_cov(np.ones(2), np.zeros(2), np.eye(2), n1, n2)
+
+    def test_means_must_have_length_p(self):
+        with pytest.raises(DimensionError, match="length p"):
+            TwoSampleSummary(3, 3, 3, np.ones(2), np.zeros(2), *(0.0,) * 6, np.eye(2))
+
     @pytest.mark.parametrize("where, value", [("s", np.nan), ("s", np.inf), ("xbar1", np.nan)])
     def test_nonfinite_input_rejected_first(self, where, value):
         args = {"xbar1": np.zeros(3), "xbar2": np.zeros(3), "s": np.eye(3)}
@@ -207,9 +222,9 @@ class TestScores:
         assert discriminant_score([0.0, 3.7], s) == pytest.approx(0.0, abs=1e-12)
 
     def test_discriminant_unbalanced_hand_example(self):
-        s = from_cov(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.eye(2), 2, 1)
-        # 1 - 1 - (1/2) * tr(I_2) = -1
-        assert discriminant_score([0.0, 0.0], s) == pytest.approx(-1.0)
+        s = from_cov(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.eye(2), 4, 2)
+        # 1 - 1 - (2/8) * tr(I_2) = -0.5
+        assert discriminant_score([0.0, 0.0], s) == pytest.approx(-0.5)
 
     def test_translation_invariance(self, rng):
         x = rng.standard_normal(3)

@@ -15,7 +15,7 @@ from eddr.error_model import (
     h_u,
     h_uv,
     h_v,
-    limit_params,
+    limit_values,
     statistic_covariance,
 )
 from eddr.estimators import DeltaEstimates, TraceEstimates
@@ -35,19 +35,23 @@ def deltas(d0=5.0, d1=5.0, d2=5.0, d3=5.0):
     return DeltaEstimates(d0=d0, d1=d1, d2=d2, d3=d3)
 
 
+def limits(d, t, dims):
+    return LimitParams(*limit_values(d.d0, d.d1, t.a2, dims))
+
+
 class TestLimitParams:
     def test_hand_example(self):
-        lp = limit_params(deltas(), traces(), DIMS)
+        lp = limits(deltas(), traces(), DIMS)
         assert lp.u0 == pytest.approx(-2.5)
         assert lp.v0 == pytest.approx(9.0)  # 5 + 64*64/1024
 
     def test_zero_distance(self):
-        lp = limit_params(deltas(d0=0.0), traces(), DIMS)
+        lp = limits(deltas(d0=0.0), traces(), DIMS)
         assert lp.u0 == 0.0
 
     def test_infeasible_scale_raises(self):
         with pytest.raises(CalibrationInfeasibleError):
-            limit_params(deltas(d1=-10.0), traces(a2=0.01), DIMS)
+            limits(deltas(d1=-10.0), traces(a2=0.01), DIMS)
 
     def test_no_silent_clamp(self):
         with pytest.raises(CalibrationInfeasibleError):
@@ -94,14 +98,14 @@ class TestAsymptoticLaw:
         s_val = 0.5
         t = TraceEstimates(a1=1.0, a2=0.0, a3=0.0, a4=0.0)
         d = DeltaEstimates(d0=2.0, d1=4 * s_val, d2=0.0, d3=s_val / 2)
-        lp = limit_params(d, t, dims)
+        lp = limits(d, t, dims)
         law = asymptotic_law(lp, statistic_covariance(d, t, dims), c=0.3)
         assert np.allclose(law.theta, s_val * np.eye(2))
         assert law.tau2 == pytest.approx(s_val * float(law.grad @ law.grad), rel=1e-12)
 
     def test_centered_point(self):
         t, d = traces(), deltas()
-        lp = limit_params(d, t, DIMS)
+        lp = limits(d, t, DIMS)
         law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=-lp.u0)
         assert law.e0 == pytest.approx(0.5, abs=1e-14)
         assert law.grad[1] == pytest.approx(0.0, abs=1e-16)
@@ -112,14 +116,14 @@ class TestAsymptoticLaw:
     def test_plain_logit_variance_bound(self):
         # e0(1-e0) <= 1/4, so the plain convention has tau_ell2 >= 4 tau2
         t, d = traces(), deltas()
-        lp = limit_params(d, t, DIMS)
+        lp = limits(d, t, DIMS)
         for c in (-1.0, 0.5, 2.5, 4.0):
             law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=c, logit_variance="plain")
             assert law.tau_ell2 >= 4.0 * law.tau2 - 1e-12
 
     def test_delta_logit_variance(self):
         t, d = traces(), deltas()
-        lp = limit_params(d, t, DIMS)
+        lp = limits(d, t, DIMS)
         law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=1.0, logit_variance="delta")
         spread = law.e0 * (1 - law.e0)
         assert law.tau_ell2 == pytest.approx(law.tau2 / spread**2, rel=1e-12)
@@ -128,7 +132,7 @@ class TestAsymptoticLaw:
         from eddr.core import std_normal_cdf
 
         t, d = traces(), deltas()
-        lp = limit_params(d, t, DIMS)
+        lp = limits(d, t, DIMS)
         c = 0.7
         law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=c)
 
@@ -144,7 +148,7 @@ class TestAsymptoticLaw:
 
     def test_degenerate_error_rejected(self):
         t, d = traces(), deltas()
-        lp = limit_params(d, t, DIMS)
+        lp = limits(d, t, DIMS)
         with pytest.raises(CalibrationInfeasibleError):
             asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=1e6)
 
@@ -152,20 +156,20 @@ class TestAsymptoticLaw:
         # a huge positive cross estimate makes the plug-in matrix indefinite
         t = traces(a2=0.01, a3=0.0, a4=0.01)
         d = deltas(d0=5.0, d1=0.5, d2=50.0, d3=0.01)
-        lp = limit_params(d, t, DIMS)
+        lp = limits(d, t, DIMS)
         with pytest.raises(CalibrationInfeasibleError):
             asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0)
 
     def test_nan_variance_rejected(self):
         t = traces(a3=math.nan)
         d = deltas()
-        lp = limit_params(d, t, DIMS)
+        lp = limits(d, t, DIMS)
         with pytest.raises(CalibrationInfeasibleError):
             asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0)
 
     def test_unknown_flags_rejected(self):
         t, d = traces(), deltas()
-        lp = limit_params(d, t, DIMS)
+        lp = limits(d, t, DIMS)
         with pytest.raises(ValueError):
             asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0, logit_variance="bogus")
 
@@ -220,7 +224,7 @@ class TestThetaSources:
 
     def test_law_uses_requested_source(self):
         t, d = traces(), deltas()
-        lp = limit_params(d, t, DIMS)
+        lp = limits(d, t, DIMS)
         stat, est = statistic_covariance(d, t, DIMS), estimator_covariance(d, t, DIMS)
         law_s = asymptotic_law(lp, stat, c=0.5)
         law_e = asymptotic_law(lp, est, c=0.5)

@@ -66,9 +66,8 @@ class TestTraceEstimators:
         assert estimate_all(s)[0].a4 == 0.0
 
     def test_minimum_sample_sizes(self):
-        one = summary_with(np.eye(2), np.zeros(2), np.zeros(2), 2, 1)  # n = 1
-        with pytest.raises(DimensionError, match="n >= 2, got n = 1"):
-            estimate_low(one)
+        with pytest.raises(DimensionError, match="n1, n2 >= 2"):  # n = 1: no summary
+            summary_with(np.eye(2), np.zeros(2), np.zeros(2), 2, 1)
         estimate_low(summary_with(np.eye(2), np.zeros(2), np.zeros(2), 2, 2))  # n = 2 suffices
         small = summary_with(np.eye(2), np.zeros(2), np.zeros(2), 4, 4)  # n = 6
         with pytest.raises(DimensionError, match="n >= 7, got n = 6"):

@@ -38,7 +38,7 @@ def summary_of(design, s):
 
 def estimates(design, s):
     summary = summary_of(design, s)
-    return summary.dims, *estimate_all(summary)
+    return summary, *estimate_all(summary)
 
 
 def calibrated(design, s, request, anchor=DEFAULT_M2_ANCHOR):

@@ -8,7 +8,7 @@ import pytest
 import eddr.simulate as sim
 from eddr.calibration import CutoffRequest
 from eddr.core import Dims, cholesky, pooled_summary
-from eddr.error_model import limit_params
+from eddr.error_model import LimitParams, limit_values
 from eddr.estimators import estimate_all, estimate_low
 from eddr.exceptions import (
     CalibrationInfeasibleError,
@@ -151,7 +151,7 @@ class TestTrialMechanics:
             x1 = pop.sample_group(pop.mu1, 9, rng)
             x2 = pop.sample_group(pop.mu2, 12, rng)
             traces, deltas = estimate_all(pooled_summary(x1, x2))
-            lp = limit_params(deltas, traces, Dims(9, 12, p))
+            lp = LimitParams(*limit_values(deltas.d0, deltas.d1, traces.a2, Dims(9, 12, p)))
             assert fast == pytest.approx(m1_cutoff(lp, 0.2).c, rel=1e-12)
 
     @pytest.mark.parametrize("p", [10, 40])  # N = 23: primal and dual statistics
