@@ -44,6 +44,7 @@ from .simulate import (
     SimConfig,
     attained_confidence_level,
     attained_error_rate,
+    make_population,
     run_simulation,
 )
 from .verify import mc_moment_suite, scalar_reduction_suite
@@ -315,8 +316,11 @@ def cmd_simulate(args) -> int:
     manifest.mark_started()
 
     cells = []
+    populations = {}  # the design depends on p alone within one grid
     for cfg in configs:
-        result = run_simulation(cfg)
+        if cfg.p not in populations:
+            populations[cfg.p] = make_population(cfg)
+        result = run_simulation(cfg, populations[cfg.p])
         ae = attained_error_rate(result.records)
         cell = {
             "n_total": cfg.n1 + cfg.n2, "n1": cfg.n1, "n2": cfg.n2, "p": cfg.p,

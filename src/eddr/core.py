@@ -13,6 +13,7 @@ threshold applied to the score is ``2*c`` (see :func:`classify`).
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,6 +31,9 @@ PI2 = 2
 class Dims:
     """Two-group design sizes (n1, n2, p), checked here and nowhere else.
 
+    Each size must be an integer (anything :func:`operator.index` accepts,
+    numpy integers included) and is stored as a Python ``int``.
+
     A :class:`TwoSampleSummary` is a ``Dims``, so it can go wherever the
     moment, limit and variance formulas expect one.
     """
@@ -39,6 +43,12 @@ class Dims:
     p: int
 
     def __post_init__(self):
+        for name in ("n1", "n2", "p"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DimensionError(f"{name} must be an integer, got {value!r}") from None
         if self.n1 < 2 or self.n2 < 2 or self.p < 1:
             raise DimensionError("need n1, n2 >= 2 and p >= 1")
 
@@ -117,7 +127,7 @@ def _power_stats(a: np.ndarray, v: np.ndarray) -> tuple:
     return np.trace(a), np.vdot(a, a), v @ v, v @ av, av @ av, av @ (a @ av)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoSampleSummary(Dims):
     """Sufficient statistics of the two training samples, and their :class:`Dims`.
 
@@ -135,6 +145,7 @@ class TwoSampleSummary(Dims):
     from data and :meth:`from_covariance` from a user-supplied ``S``.
     The fields start with the sizes ``n1, n2, p``, which
     :meth:`Dims.__post_init__` checks when the summary is built.
+    Summaries compare and hash by identity, not by their sizes.
     """
 
     xbar1: np.ndarray
@@ -146,6 +157,9 @@ class TwoSampleSummary(Dims):
     q2: float
     q3: float
     _power_base: np.ndarray = field(repr=False, compare=False)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         super().__post_init__()
@@ -225,7 +239,7 @@ def _as_observations(x) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def pooled_summary(x1, x2) -> TwoSampleSummary:
+def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSummary:
     """Column means of both groups and the power statistics of their pooled covariance.
 
     ``x1`` and ``x2`` hold one group each, a row per observation.  Each
@@ -244,6 +258,10 @@ def pooled_summary(x1, x2) -> TwoSampleSummary:
     O(N^3) once ``t3``/``t4`` are read; O(N p^2) when p <= N, plus O(p^3).
     A statistic that overflows comes out infinite or NaN, as in
     :func:`_power_stats`.
+
+    ``_stacked``, private: an (n1 + n2) x p float array whose two row
+    blocks are ``x1`` and ``x2``.  It is centred and scaled in place, and
+    so overwritten, instead of copied.
     """
     x1, x2 = _as_observations(x1), _as_observations(x2)
     n1, p = x1.shape
@@ -253,7 +271,7 @@ def pooled_summary(x1, x2) -> TwoSampleSummary:
     xbar2 = x2.mean(axis=0)
     d = xbar1 - xbar2
     # C / sqrt(n), centred and scaled in place: C'C / n = S and C C' / n = G / n
-    c = np.vstack([x1, x2])
+    c = np.vstack([x1, x2]) if _stacked is None else _stacked
     c[:n1] -= xbar1
     c[n1:] -= xbar2
     c /= math.sqrt(c.shape[0] - 2)

@@ -22,6 +22,19 @@ and V = sum_i lambda_i d_i^2 costs O(p); the population is three
 p-vectors.  A given seed's output therefore differs from versions that
 sampled through a Cholesky factor of Sigma, though its law does not.
 
+The banded Sigma is symmetric Toeplitz, hence centrosymmetric, and its
+eigenproblem splits into a symmetric and an antisymmetric half of size
+about p/2 each.  :func:`make_population` solves those two and never
+forms a p x p matrix: the eigenvalues cost about a quarter of a full
+``eigh``, and only the symmetric half, which holds the direction 1 of
+mu1, needs eigenvectors.  mu1 is zero on the antisymmetric half and
+signed to be nonnegative on the other.  Banded designs changed their
+output bytes once with this construction; a diagonal Sigma (rho = 0 or
+bandwidth 0) needs no solver and keeps its bytes.
+
+Each chunk of trials draws into one resident (n1 + n2) x p work matrix,
+which :func:`pooled_summary` centres in place.
+
 No test points are ever classified.  Aggregating the per-trial errors
 gives the attained error rate (for expected-error calibration) and the
 attained confidence level (for confidence calibration).
@@ -39,6 +52,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
 from .core import Dims, TwoSampleSummary, _psd_eigh, cholesky, pooled_summary, std_normal_cdf
@@ -46,7 +60,7 @@ from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS
 # not called here: the traced benchmark (perfbench/sims.py) wraps
 # eddr.simulate.estimate_all by name
 from .estimators import estimate_all  # noqa: F401
-from .exceptions import CalibrationInfeasibleError, SimulationError
+from .exceptions import CalibrationInfeasibleError, NotPositiveDefiniteError, SimulationError
 
 #: Separation between the group means on the squared-distance scale used
 #: by the simulation design: mu1 is placed so that Sigma^{-1/2} mu1 has
@@ -109,43 +123,64 @@ class AggregateStat(NamedTuple):
     se: float
 
 
-def band_sigma(p: int, rho: float, bandwidth: int = 50) -> np.ndarray:
-    """Correlation matrix with entries rho^|i-j| inside the band, 0 outside.
-
-    Unit diagonal by construction; positive definiteness is verified by a
-    Cholesky factorization.
-    """
+def _band_row(p: int, rho: float, bandwidth: int) -> np.ndarray:
+    """First row of the banded correlation matrix: rho^k for k <= bandwidth, 0 beyond."""
     if not abs(rho) < 1:
         raise ValueError("rho must satisfy |rho| < 1")
     first = np.zeros(p)
     k = np.arange(min(bandwidth, p - 1) + 1)
     first[k] = rho ** k.astype(float)
     first[0] = 1.0
+    return first
+
+
+def band_sigma(p: int, rho: float, bandwidth: int = 50) -> np.ndarray:
+    """Correlation matrix with entries rho^|i-j| inside the band, 0 outside.
+
+    Unit diagonal by construction; positive definiteness is verified by a
+    Cholesky factorization.
+    """
+    first = _band_row(p, rho, bandwidth)
     i = np.arange(p)
     sigma = first[np.abs(i[:, None] - i)]
     cholesky(sigma)  # raises NotPositiveDefiniteError on failure
     return sigma
 
 
-def _eigen_design(sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues ``lam`` and eigenvectors ``w`` of sigma, and mu1 in their basis.
-
-    mu1 = sigma^{1/2} (5/p)^{1/2} 1 has coordinates sqrt(lam) * (w' 1) (5/p)^{1/2}
-    in the eigenbasis.
-    """
-    lam, w = _psd_eigh(sigma)
-    ones = np.full(lam.shape[0], math.sqrt(DESIGN_SEPARATION / lam.shape[0]))
-    return lam, w, np.sqrt(lam) * (w.T @ ones)
-
-
 def design_means(sigma) -> tuple[np.ndarray, np.ndarray]:
     """Group means with whitened separation sqrt(5/p) per coordinate.
 
     mu1 = sigma^{1/2} (5/p)^{1/2} 1, mu2 = 0; then |mu1 - mu2|^2 equals
-    (5/p) 1' sigma 1.
+    (5/p) 1' sigma 1.  Works for any symmetric positive semidefinite
+    sigma through its full eigendecomposition; :func:`make_population`
+    builds the banded design without it.
     """
-    _, w, mu1 = _eigen_design(sigma)
-    return w @ mu1, np.zeros(mu1.shape[0])
+    lam, w = _psd_eigh(sigma)
+    ones = np.full(lam.shape[0], math.sqrt(DESIGN_SEPARATION / lam.shape[0]))
+    return w @ (np.sqrt(lam) * (w.T @ ones)), np.zeros(lam.shape[0])
+
+
+def _centrosymmetric_blocks(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks S+ and S- of the symmetric Toeplitz matrix with first row ``first``.
+
+    With m = p // 2, the orthonormal vectors (e_i + e_{p-1-i})/sqrt(2) and
+    (e_i - e_{p-1-i})/sqrt(2), i < m, plus e_m when p is odd, reduce the
+    matrix to diag(S+, S-) (Cantoni & Butler, Linear Algebra Appl. 13,
+    1976).  On the first m coordinates S+- = T +- H, with
+    T[i, j] = first[|i-j|] and H[i, j] = first[p-1-i-j]; for odd p, S+
+    gains the middle coordinate, coupled by sqrt(2) first[m-i].  Both
+    blocks are at most (p+1)/2 square; T and H are strided views.
+    """
+    p = first.shape[0]
+    m = p // 2
+    toe = sliding_window_view(np.concatenate([first[m - 1:0:-1], first[:m]]), m)[::-1]
+    hank = sliding_window_view(first[::-1], m)[:m]
+    s_plus = np.empty((p - m, p - m))
+    np.add(toe, hank, out=s_plus[:m, :m])
+    if p % 2:
+        s_plus[m, :m] = s_plus[:m, m] = math.sqrt(2.0) * first[m:0:-1]
+        s_plus[m, m] = first[0]
+    return s_plus, toe - hank
 
 
 @dataclass(frozen=True)
@@ -164,16 +199,48 @@ class PopulationDesign:
     def p(self) -> int:
         return self.mu1.shape[0]
 
-    def sample_group(self, mu: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((rows, self.p))
+    def sample_group(self, mu: np.ndarray, rows: int, rng: np.random.Generator,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """``rows`` draws from N(mu, diag(sd^2)), written into ``out`` when given."""
+        z = rng.standard_normal((rows, self.p), out=out)
         z *= self.sd
         z += mu
         return z
 
 
 def make_population(cfg: SimConfig) -> PopulationDesign:
-    lam, _, mu1 = _eigen_design(band_sigma(cfg.p, cfg.rho, cfg.bandwidth))
-    return PopulationDesign(mu1=mu1, mu2=np.zeros(cfg.p), sd=np.sqrt(lam))
+    """The banded design of ``cfg`` in Sigma's eigenbasis, without forming Sigma.
+
+    The eigenvalues are those of the two blocks of
+    :func:`_centrosymmetric_blocks`, merged by a stable ascending sort.
+    Only S+ needs eigenvectors: the direction 1 lies in its half, where
+    it has coordinates sqrt(2) (1 on the middle coordinate of odd p), so
+    mu1 is sqrt(lam) |x' 1| sqrt(5/p) on S+'s eigenvectors x and exactly 0
+    on S-'s.  Taking the absolute value fixes each eigenvector's sign so
+    that mu1 >= 0, whatever sign LAPACK returns.  A diagonal Sigma (rho = 0
+    or bandwidth 0) needs no solver.  Raises
+    :class:`NotPositiveDefiniteError` when the smallest eigenvalue is not
+    positive.
+    """
+    p, m = cfg.p, cfg.p // 2
+    first = _band_row(p, cfg.rho, cfg.bandwidth)
+    scale = math.sqrt(DESIGN_SEPARATION / p)
+    if not first[1:].any():
+        return PopulationDesign(mu1=np.full(p, scale), mu2=np.zeros(p), sd=np.ones(p))
+    s_plus, s_minus = _centrosymmetric_blocks(first)
+    lam_plus, x = np.linalg.eigh(s_plus)
+    lam = np.concatenate([lam_plus, np.linalg.eigvalsh(s_minus)])
+    if not lam.min() > 0.0:
+        raise NotPositiveDefiniteError(
+            f"banded correlation matrix is not positive definite "
+            f"(smallest eigenvalue {lam.min():g})"
+        )
+    ones_plus = np.full(p - m, math.sqrt(2.0))  # 1 in the basis of S+
+    ones_plus[m:] = 1.0
+    mu1 = np.zeros(p)
+    mu1[:p - m] = np.sqrt(lam_plus) * np.abs(x.T @ ones_plus) * scale
+    order = np.argsort(lam, kind="stable")
+    return PopulationDesign(mu1=mu1[order], mu2=np.zeros(p), sd=np.sqrt(lam[order]))
 
 
 class ErrorInputs(NamedTuple):
@@ -202,15 +269,22 @@ def conditional_error(err: ErrorInputs, c: float) -> float:
     return std_normal_cdf((err.u_tilde + c) / math.sqrt(err.v))
 
 
-def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator) -> TrialRecord:
+def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator,
+              x: np.ndarray | None = None) -> TrialRecord:
     """One full trial: sample, calibrate, and evaluate the conditional error.
+
+    ``x`` is an (n1 + n2) x p work matrix that the trial overwrites: its
+    row blocks receive the two groups' draws, which are then centred in
+    place.  :func:`_run_chunk` passes one matrix to all of its trials.
 
     Raises :class:`CalibrationInfeasibleError` when the drawn data do not
     admit the requested cut-off; the driver counts such trials separately.
     """
-    x1 = pop.sample_group(pop.mu1, cfg.n1, rng)
-    x2 = pop.sample_group(pop.mu2, cfg.n2, rng)
-    summary = pooled_summary(x1, x2)
+    if x is None:
+        x = np.empty((cfg.n1 + cfg.n2, cfg.p))
+    x1 = pop.sample_group(pop.mu1, cfg.n1, rng, out=x[:cfg.n1])
+    x2 = pop.sample_group(pop.mu2, cfg.n2, rng, out=x[cfg.n1:])
+    summary = pooled_summary(x1, x2, _stacked=x)
     res = calibrate(summary, cfg.request, logit_variance=cfg.logit_variance,
                     anchor=cfg.anchor).result
     ce = conditional_error(error_inputs(summary, pop), res.c)
@@ -228,10 +302,13 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _run_chunk(cfg: SimConfig, pop: PopulationDesign, start: int, stop: int):
+    # one resident work matrix: fresh per-trial arrays of this size can fall
+    # to mmap and fault in their pages on every trial
+    x = np.empty((cfg.n1 + cfg.n2, cfg.p))
     out = []
     for i in range(start, stop):
         try:
-            out.append(run_trial(cfg, pop, _trial_rng(cfg.seed, i)))
+            out.append(run_trial(cfg, pop, _trial_rng(cfg.seed, i), x))
         except CalibrationInfeasibleError:
             out.append(None)
     return out

@@ -315,6 +315,34 @@ class TestSimulate:
         assert calls == []
         assert list(tmp_path.glob("x*")) == []
 
+    def test_one_population_per_p(self, capsys, tmp_path, monkeypatch):
+        import eddr.cli
+
+        built = []
+        real = eddr.cli.make_population
+
+        def counting(cfg):
+            built.append(cfg.p)
+            return real(cfg)
+
+        monkeypatch.setattr(eddr.cli, "make_population", counting)
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "12,16", "--p-grid", "4,8", "--rho", "0.3",
+            "--reps", "20", "--seed", "9", "--method", "m1", "--alpha", "0.2",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 0, err
+        assert built == [4, 8]
+
+    def test_indefinite_band_exits_numeric(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "12", "--p-grid", "150", "--rho", "0.95",
+            "--bandwidth", "50", "--reps", "10", "--seed", "1", "--method", "m1",
+            "--alpha", "0.2", "--out", str(tmp_path / "x"),
+        )
+        assert code == 3
+        assert "not positive definite" in err
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(

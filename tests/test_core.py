@@ -120,6 +120,29 @@ class TestSummaryValidation:
         with pytest.raises(DimensionError, match="n1, n2 >= 2"):
             from_cov(np.ones(2), np.zeros(2), np.eye(2), n1, n2)
 
+    @pytest.mark.parametrize("sizes", [(2.5, 3, 2), (3, 3, 8.5), (3.0, 3, 2), ("3", 3, 2)])
+    def test_sizes_must_be_integers(self, sizes):
+        with pytest.raises(DimensionError, match="must be an integer"):
+            Dims(*sizes)
+
+    def test_summary_sizes_must_be_integers(self):
+        # a fractional n1 once gave a summary with n = 3.5
+        with pytest.raises(DimensionError, match="n1 must be an integer"):
+            from_cov(np.ones(2), np.zeros(2), np.eye(2), 2.5, 3)
+
+    def test_numpy_integer_sizes_accepted(self):
+        dims = Dims(np.int64(3), np.int32(4), np.uint8(5))
+        assert (dims.n1, dims.n2, dims.p, dims.n) == (3, 4, 5, 5)
+        assert all(type(v) is int for v in (dims.n1, dims.n2, dims.p))
+        assert dims == Dims(3, 4, 5)
+
+    def test_summaries_compare_by_identity(self, rng):
+        x1, x2 = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        a, b = pooled_summary(x1, x2), pooled_summary(x1, x2)
+        assert a == a and a != b
+        assert a != Dims(3, 3, 2) and Dims(3, 3, 2) != a
+        assert len({a, b, a}) == 2
+
     def test_means_must_have_length_p(self):
         with pytest.raises(DimensionError, match="length p"):
             TwoSampleSummary(3, 3, 3, np.ones(2), np.zeros(2), *(0.0,) * 6, np.eye(2))
@@ -214,6 +237,17 @@ class TestPowerStatistics:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    @pytest.mark.parametrize("p", [3, 40])  # N = 9: primal and dual statistics
+    def test_stacked_matrix_centred_in_place(self, rng, p):
+        x1, x2 = rng.standard_normal((4, p)), rng.standard_normal((5, p))
+        want = pooled_summary(x1, x2)
+        x = np.vstack([x1, x2])
+        got = pooled_summary(x[:4], x[4:], _stacked=x)
+        for name in ("xbar1", "xbar2") + STATS:
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+        c = np.vstack([x1 - want.xbar1, x2 - want.xbar2]) / np.sqrt(7)
+        assert x.tobytes() == c.tobytes()  # overwritten, not copied
 
 
 class TestScores:

@@ -1,5 +1,6 @@
 """Simulation harness: design construction, trials, determinism, aggregates."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from eddr.error_model import LimitParams, limit_values
 from eddr.estimators import estimate_all, estimate_low
 from eddr.exceptions import (
     CalibrationInfeasibleError,
+    DimensionError,
     NotPositiveDefiniteError,
     SimulationError,
 )
@@ -94,11 +96,68 @@ class TestDesignMeans:
         whitened = (pop.mu1 - pop.mu2) / pop.sd
         assert whitened @ whitened == pytest.approx(DESIGN_SEPARATION, rel=1e-9)
 
+    def test_truncation_can_break_definiteness(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            make_population(m1_config(p=150, rho=0.95, bandwidth=50))
+
     def test_population_holds_only_p_vectors(self):
         pop = make_population(m1_config(p=64, rho=0.5))
         arrays = [getattr(pop, f.name) for f in fields(pop)]
         assert arrays and all(isinstance(a, np.ndarray) for a in arrays)
         assert all(a.shape == (64,) for a in arrays)
+
+
+def full_eigh_design(p, rho, bandwidth):
+    """Eigenvalues and mu1 coordinates from the eigendecomposition of the p x p sigma."""
+    lam, w = np.linalg.eigh(band_sigma(p, rho, bandwidth))
+    return lam, np.sqrt(lam) * (w.T @ np.full(p, math.sqrt(DESIGN_SEPARATION / p)))
+
+
+class TestTwoBlockPopulation:
+    """make_population builds the banded design from its two centrosymmetric blocks."""
+
+    @pytest.mark.parametrize("rho", [0.4, -0.4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 33, 64, 1023, 1024])
+    def test_matches_the_full_eigendecomposition(self, p, rho):
+        for bandwidth in sorted({0, 1, p - 1, p + 5}):
+            pop = make_population(m1_config(p=p, rho=rho, bandwidth=bandwidth))
+            lam, mu1 = full_eigh_design(p, rho, bandwidth)
+            assert np.allclose(pop.sd**2, lam, rtol=1e-12, atol=0.0), bandwidth
+            # the full eigh's own eigenvectors err by up to 2e-11 here at
+            # p = 1024 (see test_matches_closed_form_tridiagonal)
+            assert np.abs(pop.mu1 - np.abs(mu1)).max() <= 5e-11, bandwidth
+            assert (pop.mu1 >= 0.0).all()
+            whitened = pop.mu1 / pop.sd
+            assert whitened @ whitened == pytest.approx(DESIGN_SEPARATION, rel=1e-12)
+            # mu1 vanishes exactly on the p // 2 antisymmetric eigenvectors
+            zeros = 0 if bandwidth == 0 or p == 1 else p // 2
+            assert np.count_nonzero(pop.mu1 == 0.0) == zeros, bandwidth
+
+    @pytest.mark.parametrize("p", [1023, 1024])
+    def test_matches_closed_form_tridiagonal(self, p):
+        # bandwidth 1: eigenvalues 1 + 2 rho cos(k pi/(p+1)), eigenvectors
+        # sqrt(2/(p+1)) sin(j k pi/(p+1)), so w_k'1 has a closed form
+        rho = 0.4
+        pop = make_population(m1_config(p=p, rho=rho, bandwidth=1))
+        theta = np.arange(1, p + 1) * np.pi / (p + 1)
+        lam = 1.0 + 2.0 * rho * np.cos(theta)
+        j = np.arange(1, p + 1)
+        w_sum = np.sqrt(2.0 / (p + 1)) * np.sin(np.outer(j, theta)).sum(axis=0)
+        mu1 = np.sqrt(lam) * np.abs(w_sum) * math.sqrt(DESIGN_SEPARATION / p)
+        order = np.argsort(lam)
+        assert np.allclose(pop.sd**2, lam[order], rtol=1e-12, atol=0.0)
+        assert np.abs(pop.mu1 - mu1[order]).max() <= 1e-11
+
+    @pytest.mark.parametrize("p", [10, 64, 128, 1024])
+    @pytest.mark.parametrize("rho, bandwidth", [(0.0, 50), (0.5, 0)])
+    def test_diagonal_sigma_keeps_its_bytes(self, p, rho, bandwidth):
+        # the bytes the identity design had when it came from eigh(I)
+        lam, w = np.linalg.eigh(np.eye(p))
+        mu1 = np.sqrt(lam) * (w.T @ np.full(p, math.sqrt(DESIGN_SEPARATION / p)))
+        pop = make_population(m1_config(p=p, rho=rho, bandwidth=bandwidth))
+        assert pop.mu1.tobytes() == mu1.tobytes()
+        assert pop.sd.tobytes() == np.sqrt(lam).tobytes()
+        assert pop.mu2.tobytes() == np.zeros(p).tobytes()
 
 
 class TestTrialMechanics:
@@ -157,7 +216,8 @@ class TestTrialMechanics:
     @pytest.mark.parametrize("p", [10, 40])  # N = 23: primal and dual statistics
     def test_error_inputs_match_the_original_basis(self, p):
         # data drawn from N(mu_k, sigma) and rotated into sigma's eigenbasis
-        # give the eigenbasis population the U, V and bias of the original
+        # give the eigenbasis population the U, V and bias of the original;
+        # the population's eigenvectors w are signed so that w'1 >= 0
         cfg = m1_config(p=p, n1=9, n2=14, rho=0.5)
         sigma = band_sigma(p, 0.5)
         mu1, mu2 = design_means(sigma)
@@ -165,6 +225,7 @@ class TestTrialMechanics:
         x1 = rng.standard_normal((9, p)) @ chol.T + mu1
         x2 = rng.standard_normal((14, p)) @ chol.T + mu2
         _, w = np.linalg.eigh(sigma)
+        w *= np.where(w.sum(axis=0) < 0, -1.0, 1.0)
         err = error_inputs(pooled_summary(x1 @ w, x2 @ w), make_population(cfg))
         xb1, xb2 = x1.mean(0), x2.mean(0)
         d = xb1 - xb2
@@ -172,6 +233,19 @@ class TestTrialMechanics:
         assert err.u == pytest.approx(d @ (xb1 - mu1) - d @ d / 2, rel=1e-9)
         assert err.v == pytest.approx(d @ sigma @ d, rel=1e-9)
         assert err.bias == pytest.approx((9 - 14) / (9 * 14) * tr_s / 2, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [10, 40])  # N = 24: primal and dual statistics
+    def test_work_matrix_reuse_keeps_the_trials(self, p):
+        # a trial overwrites all of its work matrix, so a reused (dirty)
+        # one gives the records of a fresh one, bit for bit
+        cfg = m1_config(p=p, n1=10, n2=14, rho=0.5, request=CutoffRequest.m2_logit(0.3, 0.1))
+        pop = make_population(cfg)
+        x = np.full((24, p), np.nan)
+        for i in range(3):
+            fresh = run_trial(cfg, pop, np.random.default_rng(i))
+            assert run_trial(cfg, pop, np.random.default_rng(i), x) == fresh
+        assert sim._run_chunk(cfg, pop, 0, 3) == [
+            run_trial(cfg, pop, sim._trial_rng(cfg.seed, i)) for i in range(3)]
 
     def test_trial_record_bounds(self):
         with pytest.raises(SimulationError):
@@ -237,7 +311,7 @@ class TestDeterminism:
 
 class TestExclusions:
     def test_infeasible_trials_fail_run_when_frequent(self, monkeypatch):
-        def always_infeasible(cfg, pop, rng):
+        def always_infeasible(cfg, pop, rng, x):
             raise CalibrationInfeasibleError("forced")
 
         monkeypatch.setattr(sim, "run_trial", always_infeasible)
@@ -248,11 +322,11 @@ class TestExclusions:
         real = sim.run_trial
         calls = {"n": 0}
 
-        def sometimes(cfg, pop, rng):
+        def sometimes(cfg, pop, rng, x):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise CalibrationInfeasibleError("forced once")
-            return real(cfg, pop, rng)
+            return real(cfg, pop, rng, x)
 
         monkeypatch.setattr(sim, "run_trial", sometimes)
         res = run_simulation(m1_config(reps=4000, seed=2))
@@ -306,6 +380,12 @@ class TestConfigValidation:
     def test_bad_rho(self):
         with pytest.raises(ValueError):
             m1_config(rho=1.0)
+
+    @pytest.mark.parametrize("size", ["p", "n1"])
+    def test_fractional_size_rejected(self, size):
+        # once accepted, and the run then ended in a raw TypeError
+        with pytest.raises(DimensionError, match=f"{size} must be an integer"):
+            m1_config(**{size: 8.5})
 
     def test_bad_workers(self):
         with pytest.raises(ValueError):

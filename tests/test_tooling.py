@@ -4,12 +4,14 @@
 ``perfbench/sims.py`` and ``perfbench/tracing.py``); a rename in eddr
 would break it, so one test installs both sets of wrappers and restores them.
 ``perfbench/cli_workload.py`` imports the estimator kernels by name, so the
-fixture imports it too.
+fixture imports it too.  Two guards bound the memory the simulation's set-up
+and trials allocate, as traced by ``tracemalloc``.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,3 +71,33 @@ def test_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _criterion_2_config(reps):
+    return eddr.simulate.SimConfig(p=1024, n1=256, n2=256, rho=0.5, reps=reps, seed=5,
+                                   request=CutoffRequest.m1(0.3))
+
+
+def test_population_forms_no_pxp_matrix():
+    # a p x p float matrix at p = 1024 alone takes 8.4 MB; the two half-size
+    # blocks and S+'s eigenvectors take about 6.3 MB
+    peak = _peak_traced_bytes(eddr.simulate.make_population, _criterion_2_config(1))
+    assert peak < 12e6
+
+
+def test_trial_chunk_keeps_one_work_matrix():
+    # the 512 x 1024 work matrix takes 4.2 MB and the dual Gram matrix 2.1 MB;
+    # per-trial group arrays plus their stacked copy would add another 8.4 MB
+    cfg = _criterion_2_config(10)
+    pop = eddr.simulate.make_population(cfg)
+    peak = _peak_traced_bytes(eddr.simulate._run_chunk, cfg, pop, 0, cfg.reps)
+    assert peak < 8e6
