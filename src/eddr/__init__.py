@@ -67,7 +67,6 @@ from .simulate import (
     attained_confidence_level,
     attained_error_rate,
     band_sigma,
-    design_means,
     make_population,
     run_simulation,
     run_trial,
@@ -75,12 +74,10 @@ from .simulate import (
 from .wishart import (
     MomentQuery,
     all_moments,
-    cov_delta01,
     quad_moment_mean,
     quad_moment_product,
     sample_wishart,
     var_a1,
     var_a2,
-    var_delta0,
     var_delta1,
 )

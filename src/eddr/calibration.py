@@ -26,6 +26,7 @@ import numpy as np
 from .core import TwoSampleSummary, std_normal_quantile
 from .error_model import (
     DEFAULT_LOGIT_VARIANCE,
+    LOGIT_VARIANCE_CONVENTIONS,
     AsymptoticLaw,
     LimitParams,
     asymptotic_law,
@@ -60,14 +61,20 @@ class CutoffVariant(enum.Enum):
 class CutoffRequest:
     """Calibration policy plus its parameters.
 
-    Exactly the fields of the chosen variant must be set: ``alpha`` for
-    M1, ``eu`` and ``beta`` for either M2 variant.
+    Exactly the fields of the chosen variant may be set: ``alpha`` for
+    M1; ``eu``, ``beta`` and the two M2 knobs for either M2 variant.
+    ``anchor`` (one of :data:`M2_ANCHORS`) picks where the error law is
+    evaluated and ``logit_variance`` (one of
+    :data:`~eddr.error_model.LOGIT_VARIANCE_CONVENTIONS`) how its logit
+    spread is taken; an M2 request left without them gets the defaults.
     """
 
     variant: CutoffVariant
     alpha: float | None = None
     eu: float | None = None
     beta: float | None = None
+    anchor: str | None = None
+    logit_variance: str | None = None
 
     def __post_init__(self):
         def _in_unit(name, value):
@@ -76,25 +83,37 @@ class CutoffRequest:
 
         if self.variant == CutoffVariant.M1:
             _in_unit("alpha", self.alpha)
-            if self.eu is not None or self.beta is not None:
-                raise ValueError("eu/beta are not part of an M1 request")
-        else:
-            _in_unit("eu", self.eu)
-            _in_unit("beta", self.beta)
-            if self.alpha is not None:
-                raise ValueError("alpha is not part of an M2 request")
+            if any(v is not None for v in (self.eu, self.beta, self.anchor, self.logit_variance)):
+                raise ValueError("eu/beta/anchor/logit_variance are not part of an M1 request")
+            return
+        _in_unit("eu", self.eu)
+        _in_unit("beta", self.beta)
+        if self.alpha is not None:
+            raise ValueError("alpha is not part of an M2 request")
+        if self.anchor is None:
+            object.__setattr__(self, "anchor", DEFAULT_M2_ANCHOR)
+        if self.logit_variance is None:
+            object.__setattr__(self, "logit_variance", DEFAULT_LOGIT_VARIANCE)
+        if self.anchor not in M2_ANCHORS:
+            raise ValueError(f"unknown anchor {self.anchor!r}")
+        if self.logit_variance not in LOGIT_VARIANCE_CONVENTIONS:
+            raise ValueError(f"unknown logit variance convention {self.logit_variance!r}")
 
     @classmethod
     def m1(cls, alpha: float) -> "CutoffRequest":
         return cls(variant=CutoffVariant.M1, alpha=alpha)
 
     @classmethod
-    def m2_normal(cls, eu: float, beta: float) -> "CutoffRequest":
-        return cls(variant=CutoffVariant.M2_NORMAL, eu=eu, beta=beta)
+    def m2_normal(cls, eu: float, beta: float, *, anchor: str = DEFAULT_M2_ANCHOR,
+                  logit_variance: str = DEFAULT_LOGIT_VARIANCE) -> "CutoffRequest":
+        return cls(variant=CutoffVariant.M2_NORMAL, eu=eu, beta=beta, anchor=anchor,
+                   logit_variance=logit_variance)
 
     @classmethod
-    def m2_logit(cls, eu: float, beta: float) -> "CutoffRequest":
-        return cls(variant=CutoffVariant.M2_LOGIT, eu=eu, beta=beta)
+    def m2_logit(cls, eu: float, beta: float, *, anchor: str = DEFAULT_M2_ANCHOR,
+                 logit_variance: str = DEFAULT_LOGIT_VARIANCE) -> "CutoffRequest":
+        return cls(variant=CutoffVariant.M2_LOGIT, eu=eu, beta=beta, anchor=anchor,
+                   logit_variance=logit_variance)
 
 
 @dataclass(frozen=True)
@@ -203,19 +222,14 @@ class CalibrationOutcome:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def calibrate(
-    summary: TwoSampleSummary,
-    request: CutoffRequest,
-    logit_variance: str = DEFAULT_LOGIT_VARIANCE,
-    anchor: str = DEFAULT_M2_ANCHOR,
-) -> CalibrationOutcome:
+def calibrate(summary: TwoSampleSummary, request: CutoffRequest) -> CalibrationOutcome:
     """Cut-off for ``request`` from the training data's summary.
 
     M1 needs only the a2, delta0 and delta1 estimates of
     :func:`~eddr.estimators.estimate_low`, so it works from n = 2 on.  M2
     needs all eight (n >= 7).  Its error law must be
     evaluated at some cut-off before the adjusted percentile exists;
-    ``anchor`` selects that point (see :data:`M2_ANCHORS`).  The
+    ``request.anchor`` selects that point (see :data:`M2_ANCHORS`).  The
     fixed-point option iterates law evaluation and cut-off extraction
     until the cut-off stops moving.  The law uses
     :func:`~eddr.error_model.estimator_covariance`, the matrix that
@@ -223,8 +237,6 @@ def calibrate(
     overflows raises :class:`CalibrationInfeasibleError` instead of a
     numpy warning.
     """
-    if anchor not in M2_ANCHORS:
-        raise ValueError(f"unknown anchor {anchor!r}")
     if request.variant == CutoffVariant.M1:
         _, a2, d0, d1 = estimate_low(summary)
         lp = LimitParams(*limit_values(d0, d1, a2, summary))
@@ -234,8 +246,8 @@ def calibrate(
     theta = estimator_covariance(deltas, traces, summary)
     # start where the limiting error equals the target upper bound
     c = _quantile_cutoff(lp, request.eu)
-    for _ in range(1 + FIXED_POINT_MAX_ITER if anchor == "fixed-point" else 1):
-        law = asymptotic_law(lp, theta, c, logit_variance=logit_variance)
+    for _ in range(1 + FIXED_POINT_MAX_ITER if request.anchor == "fixed-point" else 1):
+        law = asymptotic_law(lp, theta, c, logit_variance=request.logit_variance)
         res = m2_cutoff(lp, law, request)
         if abs(res.c - c) <= FIXED_POINT_TOL * (math.sqrt(lp.v0) + abs(c)):
             break

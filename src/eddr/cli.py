@@ -56,7 +56,7 @@ EXIT_NUMERIC = 3
 
 #: Allowed values of the flags and ``simulate`` config keys that take a choice.
 _CHOICES = {
-    "method": ("m1", "m2-normal", "m2-logit"),
+    "method": tuple(v.value for v in CutoffVariant),
     "logit_variance": LOGIT_VARIANCE_CONVENTIONS,
     "anchor": M2_ANCHORS,
 }
@@ -77,28 +77,22 @@ def _load_training(args) -> tuple:
     return pooled_summary(x1, x2)
 
 
-def _request_from_args(method: str, alpha, eu, beta) -> CutoffRequest:
+def _request_from_args(settings: dict) -> CutoffRequest:
+    """The request of the ``method`` flags or config keys; M1 ignores the M2 knobs."""
+    method, alpha, eu, beta = (settings.get(k) for k in ("method", "alpha", "eu", "beta"))
     if method == "m1":
         if alpha is None:
             raise UsageError("--alpha is required for method m1")
         return CutoffRequest.m1(alpha)
     if eu is None or beta is None:
         raise UsageError(f"--eu and --beta are required for method {method}")
-    if method == "m2-normal":
-        return CutoffRequest.m2_normal(eu, beta)
-    return CutoffRequest.m2_logit(eu, beta)
+    make = CutoffRequest.m2_normal if method == "m2-normal" else CutoffRequest.m2_logit
+    return make(eu, beta, anchor=settings.get("anchor") or DEFAULT_M2_ANCHOR,
+                logit_variance=settings.get("logit_variance") or DEFAULT_LOGIT_VARIANCE)
 
 
 class UsageError(Exception):
     pass
-
-
-def _calibration_knobs(settings: dict) -> dict:
-    """``logit_variance`` and ``anchor`` as given, else their defaults."""
-    return {
-        "logit_variance": settings.get("logit_variance") or DEFAULT_LOGIT_VARIANCE,
-        "anchor": settings.get("anchor") or DEFAULT_M2_ANCHOR,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +133,9 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
+    request = _request_from_args(vars(args))
     summary = _load_training(args)
-    outcome = calibrate(summary, request, **_calibration_knobs(vars(args)))
+    outcome = calibrate(summary, request)
     res = outcome.result
     if res.fell_back:
         print("note: normal-scale percentile left (0,1); used the logit variant", file=sys.stderr)
@@ -168,7 +162,7 @@ def cmd_classify(args) -> int:
     if args.cutoff is None:
         if args.method is None:
             raise UsageError("classify needs either --cutoff or --method with its parameters")
-        request = _request_from_args(args.method, args.alpha, args.eu, args.beta)
+        request = _request_from_args(vars(args))
     elif not math.isfinite(args.cutoff):
         raise UsageError(f"--cutoff must be finite, got {args.cutoff}")
     summary = _load_training(args)
@@ -176,7 +170,7 @@ def cmd_classify(args) -> int:
     if args.cutoff is not None:
         c = args.cutoff
     else:
-        c = calibrate(summary, request, **_calibration_knobs(vars(args))).result.c
+        c = calibrate(summary, request).result.c
     lines = []
     if query.size:
         if query.shape[1] != summary.p:
@@ -266,16 +260,15 @@ def _env_workers() -> int:
 def cmd_simulate(args) -> int:
     settings = _resolve_sim_settings(args)
     settings.setdefault("reps", 20000)  # desk-scale default
-    knobs = _calibration_knobs(settings)
-    settings.update(knobs)
+    # the manifest records the M2 knobs' values, also for m1
+    settings.setdefault("anchor", DEFAULT_M2_ANCHOR)
+    settings.setdefault("logit_variance", DEFAULT_LOGIT_VARIANCE)
     for required in ("seed", "method"):
         if required not in settings:
             raise UsageError(f"simulate needs --{required.replace('_', '-')}")
     if settings["reps"] < 1:
         raise UsageError("--reps must be positive")
-    request = _request_from_args(
-        settings["method"], settings.get("alpha"), settings.get("eu"), settings.get("beta")
-    )
+    request = _request_from_args(settings)
 
     if "n1" in settings or "n2" in settings:
         if not ("n1" in settings and "n2" in settings):
@@ -302,7 +295,7 @@ def cmd_simulate(args) -> int:
         SimConfig(
             p=p, n1=n1, n2=n2, rho=rho, bandwidth=bandwidth,
             reps=settings["reps"], seed=settings["seed"], request=request,
-            workers=workers, **knobs,
+            workers=workers,
         )
         for n1, n2 in cells_n
         for p in p_values
@@ -337,12 +330,11 @@ def cmd_simulate(args) -> int:
 
     value_key = "ae" if request.variant == CutoffVariant.M1 else "acl"
     csv_lines = ["N," + ",".join(f"p={p}" for p in p_values)]
-    for n1, n2 in cells_n:
-        row = [str(n1 + n2)]
-        for p in p_values:
-            cell = next(c for c in cells if c["n1"] == n1 and c["n2"] == n2 and c["p"] == p)
-            row.append(format_table_value(cell[value_key]))
-        csv_lines.append(",".join(row))
+    # configs, hence cells, run N-major: each CSV row is one run of len(p_values) cells
+    for i in range(0, len(cells), len(p_values)):
+        row = cells[i:i + len(p_values)]
+        csv_lines.append(",".join([str(row[0]["n_total"])]
+                                  + [format_table_value(c[value_key]) for c in row]))
     csv_text = "\n".join(csv_lines) + "\n"
 
     csv_path = f"{out_prefix}.csv"

@@ -356,17 +356,3 @@ def cholesky(a) -> np.ndarray:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
 
 
-def _psd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, clipped at 0) and eigenvectors of a symmetric PSD matrix.
-
-    Eigenvalues below ``-1e-10 * |a|`` raise; small negative ones produced by
-    round-off are clipped to zero.
-    """
-    w, v = np.linalg.eigh(_as_square(a, "a"))
-    scale = max(abs(w[0]), abs(w[-1]))
-    if w[0] < -_PSD_RTOL * scale:
-        raise NotPositiveDefiniteError(
-            f"matrix has eigenvalue {w[0]:g} below -{_PSD_RTOL:g}*norm"
-        )
-    return np.clip(w, 0.0, None), v
-

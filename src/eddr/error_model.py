@@ -45,7 +45,7 @@ import numpy as np
 from .core import Dims, std_normal_cdf, std_normal_pdf
 from .estimators import DeltaEstimates, TraceEstimates
 from .exceptions import CalibrationInfeasibleError
-from .wishart import cov_delta01, var_delta0, var_delta1
+from .wishart import _quad_form_cov, var_delta1
 
 #: Conventions for the variance of the logit of the conditional error.
 #: "plain" divides tau2 by e0(1-e0) once; "delta" is the delta-method
@@ -114,9 +114,7 @@ def h_u(delta1: float, a2: float, dims: Dims) -> float:
 
 def h_v(delta3: float, a4: float, dims: Dims) -> float:
     """Variance of the V statistic."""
-    n1, n2, p = dims.n1, dims.n2, dims.p
-    n_tot = dims.n_total
-    return 4 * n_tot * delta3 / (n1 * n2) + 2 * n_tot**2 * p * a4 / (n1 * n2) ** 2
+    return _quad_form_cov(dims, delta3, a4)
 
 
 def h_uv(delta2: float, a3: float, dims: Dims) -> float:
@@ -140,9 +138,9 @@ def estimator_covariance(d: DeltaEstimates, t: TraceEstimates, dims: Dims) -> np
     Var[u0_hat] is a quarter of the squared-distance estimator's
     variance, and the cross term is minus half their covariance.
     """
-    vu = var_delta0(dims, d.d1, t.a2) / 4.0
+    vu = _quad_form_cov(dims, d.d1, t.a2) / 4.0
     vv = var_delta1(dims, d.d1, d.d3, t.a2, t.a4)
-    cross = -cov_delta01(dims, d.d2, t.a3) / 2.0
+    cross = -_quad_form_cov(dims, d.d2, t.a3) / 2.0
     return np.array([[vu, cross], [cross, vv]])
 
 
@@ -158,8 +156,9 @@ def asymptotic_law(
 
     Raises :class:`CalibrationInfeasibleError` when the plug-in covariance
     is indefinite enough to make tau2 negative, when tau2 is not finite,
-    when v0 is too small for the gradient, or when e0 degenerates to 0 or
-    1 in floating point.
+    when v0 is too small for the gradient, when e0 degenerates to 0 or
+    1 in floating point, or when e0 is so near 0 or 1 that the logit
+    variance's denominator underflows to 0.
     """
     if logit_variance not in LOGIT_VARIANCE_CONVENTIONS:
         raise ValueError(f"unknown logit variance convention {logit_variance!r}")
@@ -180,7 +179,10 @@ def asymptotic_law(
         )
     ell0 = math.log(e0 / (1.0 - e0))
     spread = (1.0 - e0) * e0
-    tau_ell2 = tau2 / spread if logit_variance == "plain" else tau2 / spread**2
+    denom = spread if logit_variance == "plain" else spread**2
+    if denom == 0.0:
+        raise CalibrationInfeasibleError(f"limiting error {e0:g} underflows the logit variance")
+    tau_ell2 = tau2 / denom
     return AsymptoticLaw(
         e0=e0, ell0=ell0, tau2=tau2, tau_ell2=float(tau_ell2), theta=theta, grad=grad,
         logit_variance=logit_variance,

@@ -47,6 +47,7 @@ worker count and any scheduling order.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -54,9 +55,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
-from .core import Dims, TwoSampleSummary, _psd_eigh, cholesky, pooled_summary, std_normal_cdf
-from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS
+from .calibration import CutoffRequest, calibrate
+from .core import Dims, TwoSampleSummary, cholesky, pooled_summary, std_normal_cdf
 # not called here: the traced benchmark (perfbench/sims.py) wraps
 # eddr.simulate.estimate_all by name
 from .estimators import estimate_all  # noqa: F401
@@ -73,7 +73,13 @@ MAX_EXCLUDED_FRACTION = 1e-3
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Design and execution parameters of one simulation run."""
+    """Design and execution parameters of one simulation run.
+
+    ``reps``, ``seed``, ``bandwidth`` and ``workers`` must be integers
+    (anything :func:`operator.index` accepts) and are stored as Python
+    ``int``; the sizes are checked by :class:`~eddr.core.Dims`.  The
+    cut-off policy and its knobs are all in ``request``.
+    """
 
     p: int
     n1: int
@@ -84,11 +90,15 @@ class SimConfig:
     request: CutoffRequest
     bandwidth: int = 50
     workers: int = 1
-    logit_variance: str = DEFAULT_LOGIT_VARIANCE
-    anchor: str = DEFAULT_M2_ANCHOR
 
     def __post_init__(self):
         Dims(self.n1, self.n2, self.p)  # raises DimensionError for bad sizes
+        for name in ("reps", "seed", "bandwidth", "workers"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not abs(self.rho) < 1:
             raise ValueError("rho must satisfy |rho| < 1")
         if self.bandwidth < 0:
@@ -97,10 +107,6 @@ class SimConfig:
             raise ValueError("reps must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.anchor not in M2_ANCHORS:
-            raise ValueError(f"unknown anchor {self.anchor!r}")
-        if self.logit_variance not in LOGIT_VARIANCE_CONVENTIONS:
-            raise ValueError(f"unknown logit variance convention {self.logit_variance!r}")
 
 
 @dataclass(frozen=True)
@@ -145,19 +151,6 @@ def band_sigma(p: int, rho: float, bandwidth: int = 50) -> np.ndarray:
     sigma = first[np.abs(i[:, None] - i)]
     cholesky(sigma)  # raises NotPositiveDefiniteError on failure
     return sigma
-
-
-def design_means(sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Group means with whitened separation sqrt(5/p) per coordinate.
-
-    mu1 = sigma^{1/2} (5/p)^{1/2} 1, mu2 = 0; then |mu1 - mu2|^2 equals
-    (5/p) 1' sigma 1.  Works for any symmetric positive semidefinite
-    sigma through its full eigendecomposition; :func:`make_population`
-    builds the banded design without it.
-    """
-    lam, w = _psd_eigh(sigma)
-    ones = np.full(lam.shape[0], math.sqrt(DESIGN_SEPARATION / lam.shape[0]))
-    return w @ (np.sqrt(lam) * (w.T @ ones)), np.zeros(lam.shape[0])
 
 
 def _centrosymmetric_blocks(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +278,7 @@ def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator,
     x1 = pop.sample_group(pop.mu1, cfg.n1, rng, out=x[:cfg.n1])
     x2 = pop.sample_group(pop.mu2, cfg.n2, rng, out=x[cfg.n1:])
     summary = pooled_summary(x1, x2, _stacked=x)
-    res = calibrate(summary, cfg.request, logit_variance=cfg.logit_variance,
-                    anchor=cfg.anchor).result
+    res = calibrate(summary, cfg.request).result
     ce = conditional_error(error_inputs(summary, pop), res.c)
     # an extreme trial can underflow the error probability to 0.0 or 1.0 in
     # double precision; the mathematical value is strictly interior
@@ -382,7 +374,6 @@ __all__ = [
     "AggregateStat",
     "PopulationDesign",
     "band_sigma",
-    "design_means",
     "make_population",
     "error_inputs",
     "conditional_error",

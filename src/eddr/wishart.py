@@ -348,13 +348,6 @@ def var_a2(n: int, p: int, a2: float, a4: float) -> float:
     )
 
 
-def var_delta0(dims: Dims, delta1: float, a2: float) -> float:
-    """Variance of the known-spectrum estimator of |mu1 - mu2|^2."""
-    n1, n2, p = dims.n1, dims.n2, dims.p
-    n_tot = dims.n_total
-    return 4.0 * n_tot * delta1 / (n1 * n2) + 2.0 * n_tot**2 * p * a2 / (n1 * n2) ** 2
-
-
 def var_delta1(dims: Dims, delta1: float, delta3: float, a2: float, a4: float) -> float:
     """Variance of the known-spectrum estimator of delta' Sigma delta."""
     n1, n2, p = dims.n1, dims.n2, dims.p
@@ -368,18 +361,21 @@ def var_delta1(dims: Dims, delta1: float, delta3: float, a2: float, a4: float) -
     )
 
 
-def cov_delta01(dims: Dims, delta2: float, a3: float) -> float:
-    """Covariance of the two known-spectrum quadratic estimators.
+def _quad_form_cov(dims: Dims, delta: float, a: float) -> float:
+    """Covariance 4 c delta + 2 c^2 p a of two quadratic forms in the mean difference.
 
     For the mean difference d ~ N(delta, c Sigma) with c = N/(n1 n2),
     independent of S with E[S] = Sigma, the quadratic forms d'd and d'Sd
     have conditional covariance 4 c delta' Sigma S delta +
     2 c^2 tr(Sigma S Sigma); averaged over S, with E[tr(Sigma S Sigma)] =
-    tr(Sigma^3), that is 4 c delta_2 + 2 c^2 p a3.
+    tr(Sigma^3), that is 4 c delta_2 + 2 c^2 p a3.  In general the forms
+    d' Sigma^i d and d' Sigma^j d have covariance 4 c delta_{i+j+1} +
+    2 c^2 p a_{i+j+2}: with (delta_1, a2) the variance of d'd, with
+    (delta_3, a4) that of d' Sigma d.
     """
     n1, n2, p = dims.n1, dims.n2, dims.p
     n_tot = dims.n_total
-    return 4.0 * n_tot * delta2 / (n1 * n2) + 2.0 * n_tot**2 * p * a3 / (n1 * n2) ** 2
+    return 4.0 * n_tot * delta / (n1 * n2) + 2.0 * n_tot**2 * p * a / (n1 * n2) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +421,7 @@ __all__ = [
     "quad_moment_product",
     "var_a1",
     "var_a2",
-    "var_delta0",
     "var_delta1",
-    "cov_delta01",
     "sample_wishart",
     "MOMENT_POWERS",
 ]

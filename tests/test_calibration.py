@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eddr.calibration import (
+    DEFAULT_M2_ANCHOR,
     CalibrationOutcome,
     CutoffRequest,
     CutoffResult,
@@ -18,6 +19,7 @@ from eddr.calibration import (
 )
 from eddr.core import Dims, pooled_summary, std_normal_cdf
 from eddr.error_model import (
+    DEFAULT_LOGIT_VARIANCE,
     LimitParams,
     asymptotic_law,
     estimator_covariance,
@@ -56,6 +58,9 @@ class TestRequests:
     def test_m2_fields(self):
         req = CutoffRequest.m2_logit(0.2, 0.05)
         assert req.eu == 0.2 and req.beta == 0.05
+        assert (req.anchor, req.logit_variance) == (DEFAULT_M2_ANCHOR, DEFAULT_LOGIT_VARIANCE)
+        # a directly built M2 request gets the same defaults
+        assert CutoffRequest(CutoffVariant.M2_LOGIT, eu=0.2, beta=0.05) == req
 
     @pytest.mark.parametrize(
         "bad",
@@ -65,6 +70,10 @@ class TestRequests:
             dict(variant=CutoffVariant.M1, alpha=0.1, eu=0.2),
             dict(variant=CutoffVariant.M2_NORMAL, eu=0.2),
             dict(variant=CutoffVariant.M2_LOGIT, eu=0.2, beta=0.1, alpha=0.3),
+            dict(variant=CutoffVariant.M1, alpha=0.1, anchor="eu"),
+            dict(variant=CutoffVariant.M1, alpha=0.1, logit_variance="delta"),
+            dict(variant=CutoffVariant.M2_LOGIT, eu=0.2, beta=0.1, anchor="bogus"),
+            dict(variant=CutoffVariant.M2_NORMAL, eu=0.2, beta=0.1, logit_variance="nope"),
         ],
     )
     def test_invalid_combinations(self, bad):
@@ -239,9 +248,9 @@ class TestCalibrate:
         assert out.result.c == m1_cutoff(out.limit, out.result.gamma).c
 
     def test_fixed_point_converges(self):
-        req = CutoffRequest.m2_normal(0.2, 0.1)
-        out_eu = calibrate(self.summary, req, anchor="eu")
-        out_fp = calibrate(self.summary, req, anchor="fixed-point")
+        req = CutoffRequest.m2_normal(0.2, 0.1, anchor="fixed-point")
+        out_eu = calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1, anchor="eu"))
+        out_fp = calibrate(self.summary, req)
         # the self-consistent cut-off is less conservative here
         assert out_fp.result.c > out_eu.result.c
         lp = LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
@@ -265,13 +274,12 @@ class TestCalibrate:
 
         monkeypatch.setattr(cal, "asymptotic_law", counting_law)
         monkeypatch.setattr(cal, "m2_cutoff", drifting_cutoff)
-        req = CutoffRequest.m2_normal(0.2, 0.1)
-        calibrate(self.summary, req, anchor="fixed-point")
+        calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1, anchor="fixed-point"))
         assert len(calls) == 1 + cal.FIXED_POINT_MAX_ITER == 101
         calls.clear()
-        calibrate(self.summary, req)
+        calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1))
         assert len(calls) == 1
 
     def test_unknown_anchor_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1), anchor="nope")
+        with pytest.raises(ValueError, match="unknown anchor 'nope'"):
+            calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1, anchor="nope"))

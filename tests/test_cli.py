@@ -19,7 +19,7 @@ import eddr
 from eddr.calibration import CutoffRequest, calibrate
 from eddr.cli import main
 from eddr.core import discriminant_score, pooled_summary
-from eddr.dataio import read_matrix_csv
+from eddr.dataio import format_table_value, read_matrix_csv
 
 
 @pytest.fixture
@@ -163,12 +163,12 @@ class TestCalibrate:
         assert code == 0, err
         payload = json.loads(out)
         summary = pooled_summary(read_matrix_csv(f1), read_matrix_csv(f2))
-        request = CutoffRequest.m2_normal(0.3, 0.1)
-        lib = calibrate(summary, request, logit_variance="plain", anchor="fixed-point")
+        request = CutoffRequest.m2_normal(0.3, 0.1, anchor="fixed-point", logit_variance="plain")
+        lib = calibrate(summary, request)
         assert payload["c"] == lib.result.c
         assert payload["gamma"] == lib.result.gamma
         assert payload["tau2"] == lib.law.tau2
-        assert lib.result.c != calibrate(summary, request).result.c
+        assert lib.result.c != calibrate(summary, CutoffRequest.m2_normal(0.3, 0.1)).result.c
 
     def test_m1_works_below_the_m2_sample_size(self, capsys, tmp_path, rng):
         # n1 = n2 = 3 (n = 4): M1 needs only a2, delta0 and delta1; M2 needs n >= 7
@@ -273,6 +273,11 @@ class TestSimulate:
         assert len(sidecar["cells"]) == 4
         for cell in sidecar["cells"]:
             assert "ae_se" in cell and "excluded" in cell
+        # each CSV entry is its own cell's value
+        values = {(c["n_total"], c["p"]): format_table_value(c["ae"]) for c in sidecar["cells"]}
+        for line in lines[1:]:
+            n_total, *row = line.split(",")
+            assert row == [values[(int(n_total), p)] for p in (4, 8)]
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 9

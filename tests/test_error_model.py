@@ -20,7 +20,7 @@ from eddr.error_model import (
 )
 from eddr.estimators import DeltaEstimates, TraceEstimates
 from eddr.exceptions import CalibrationInfeasibleError
-from eddr.wishart import _sample_wishart_batch, cov_delta01, var_delta0, var_delta1
+from eddr.wishart import _sample_wishart_batch, var_delta1
 
 PHI_M125 = 0.105649773666855257688772764026
 
@@ -152,6 +152,15 @@ class TestAsymptoticLaw:
         with pytest.raises(CalibrationInfeasibleError):
             asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=1e6)
 
+    def test_underflowing_logit_variance_rejected(self):
+        # e0 = Phi(-28) ~ 1e-172 is positive, but e0^2 underflows: once a
+        # raw ZeroDivisionError, which the fixed-point anchor could reach
+        lp = LimitParams(u0=0.0, v0=1.0)
+        with pytest.raises(CalibrationInfeasibleError, match="underflows the logit variance"):
+            asymptotic_law(lp, np.eye(2), c=-28.0)
+        # the plain convention's denominator e0 (1 - e0) does not underflow
+        assert asymptotic_law(lp, np.eye(2), c=-28.0, logit_variance="plain").e0 > 0.0
+
     def test_negative_variance_rejected(self):
         # a huge positive cross estimate makes the plug-in matrix indefinite
         t = traces(a2=0.01, a3=0.0, a4=0.01)
@@ -186,9 +195,12 @@ class TestThetaSources:
     def test_estimator_source_entries(self):
         t, d = traces(a3=0.7, a4=1.6), deltas()
         theta = estimator_covariance(d, t, DIMS)
-        assert theta[0, 0] == pytest.approx(var_delta0(DIMS, d.d1, t.a2) / 4.0)
+        # N = 64, n1 n2 = 1024, p = 64: Var[d'd]/4 and -Cov[d'd, d'Sd]/2
+        assert theta[0, 0] == pytest.approx((4 * 64 * 5 / 1024 + 2 * 64**2 * 64 / 1024**2) / 4)
         assert theta[1, 1] == pytest.approx(var_delta1(DIMS, d.d1, d.d3, t.a2, t.a4))
-        assert theta[0, 1] == pytest.approx(-cov_delta01(DIMS, d.d2, t.a3) / 2.0)
+        assert theta[0, 1] == pytest.approx(
+            -(4 * 64 * 5 / 1024 + 2 * 64**2 * 64 * 0.7 / 1024**2) / 2
+        )
 
     def test_estimator_cross_term_matches_monte_carlo(self):
         # Cov(u0_hat, v0_hat) = -Cov(d'd, d'S d)/2 for d ~ N(delta, c Sigma)

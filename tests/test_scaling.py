@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eddr.calibration import DEFAULT_M2_ANCHOR, M2_ANCHORS, CutoffRequest, calibrate
+from eddr.calibration import M2_ANCHORS, CutoffRequest, calibrate
 from eddr.core import pooled_summary
 from eddr.error_model import estimator_covariance
 from eddr.estimators import estimate_all
@@ -41,13 +41,13 @@ def estimates(design, s):
     return summary, *estimate_all(summary)
 
 
-def calibrated(design, s, request, anchor=DEFAULT_M2_ANCHOR):
-    return calibrate(summary_of(design, s), request, anchor=anchor)
+def calibrated(design, s, request):
+    return calibrate(summary_of(design, s), request)
 
 
-def feasible(design, request, anchor=DEFAULT_M2_ANCHOR):
+def feasible(design, request):
     try:
-        return calibrated(design, 1.0, request, anchor)
+        return calibrated(design, 1.0, request)
     except CalibrationInfeasibleError:
         assume(False)
 
@@ -94,7 +94,7 @@ def test_m1_cutoff_scales_by_s2(design, s):
 @DETERMINISTIC
 @given(designs, scales)
 def test_m2_cutoff_scales_by_s2(anchor, design, s):
-    request = CutoffRequest.m2_logit(0.2, 0.1)
-    base = feasible(design, request, anchor)
-    scaled = calibrated(design, s, request, anchor)
+    request = CutoffRequest.m2_logit(0.2, 0.1, anchor=anchor)
+    base = feasible(design, request)
+    scaled = calibrated(design, s, request)
     assert scaled.result.c == pytest.approx(s**2 * base.result.c, rel=REL)

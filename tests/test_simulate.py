@@ -25,7 +25,6 @@ from eddr.simulate import (
     attained_error_rate,
     band_sigma,
     conditional_error,
-    design_means,
     error_inputs,
     make_population,
     run_simulation,
@@ -78,18 +77,6 @@ class TestBandSigma:
 
 
 class TestDesignMeans:
-    def test_identity_case(self):
-        mu1, mu2 = design_means(np.eye(10))
-        assert np.allclose(mu1, np.sqrt(DESIGN_SEPARATION / 10))
-        assert np.allclose(mu2, 0.0)
-        assert mu1 @ mu1 == pytest.approx(DESIGN_SEPARATION)
-
-    def test_banded_case_two_paths(self):
-        sigma = band_sigma(64, 0.2)
-        mu1, mu2 = design_means(sigma)
-        direct = DESIGN_SEPARATION / 64 * float(np.ones(64) @ sigma @ np.ones(64))
-        assert mu1 @ mu1 == pytest.approx(direct, rel=1e-9)
-
     def test_population_separation_diagnostic(self):
         # in sigma's eigenbasis the whitened mean difference is (mu1 - mu2)/sqrt(lam)
         pop = make_population(m1_config(p=16, rho=0.3))
@@ -220,12 +207,14 @@ class TestTrialMechanics:
         # the population's eigenvectors w are signed so that w'1 >= 0
         cfg = m1_config(p=p, n1=9, n2=14, rho=0.5)
         sigma = band_sigma(p, 0.5)
-        mu1, mu2 = design_means(sigma)
+        lam, w = np.linalg.eigh(sigma)
+        w *= np.where(w.sum(axis=0) < 0, -1.0, 1.0)
+        # mu1 = sigma^(1/2) sqrt(5/p) 1, mu2 = 0
+        mu1 = w @ (np.sqrt(lam) * (w.T @ np.full(p, math.sqrt(DESIGN_SEPARATION / p))))
+        mu2 = np.zeros(p)
         rng, chol = np.random.default_rng(12), cholesky(sigma)
         x1 = rng.standard_normal((9, p)) @ chol.T + mu1
         x2 = rng.standard_normal((14, p)) @ chol.T + mu2
-        _, w = np.linalg.eigh(sigma)
-        w *= np.where(w.sum(axis=0) < 0, -1.0, 1.0)
         err = error_inputs(pooled_summary(x1 @ w, x2 @ w), make_population(cfg))
         xb1, xb2 = x1.mean(0), x2.mean(0)
         d = xb1 - xb2
@@ -391,16 +380,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             m1_config(workers=0)
 
-    @pytest.mark.parametrize("request_", [CutoffRequest.m1(0.2), CutoffRequest.m2_logit(0.2, 0.1)])
+    @pytest.mark.parametrize("name, value", [
+        ("reps", 2.5), ("seed", 1.5), ("bandwidth", 2.5), ("workers", 1.0),
+    ])
+    def test_fractional_count_rejected(self, name, value):
+        # once accepted: reps and seed then ended in a TypeError, bandwidth
+        # in an IndexError, and workers = 1.0 ran
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            m1_config(**{name: value})
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        cfg = m1_config(reps=np.int64(3), seed=np.uint32(2), bandwidth=np.int8(1))
+        assert all(type(getattr(cfg, k)) is int for k in ("reps", "seed", "bandwidth"))
+
+    @pytest.mark.parametrize("request_", [CutoffRequest.m2_normal, CutoffRequest.m2_logit])
     @pytest.mark.parametrize("knob, message", [
         ({"anchor": "bogus"}, "unknown anchor 'bogus'"),
         ({"logit_variance": "nope"}, "unknown logit variance convention 'nope'"),
     ])
     def test_calibration_knobs_outside_choices(self, request_, knob, message):
-        # rejected when the config is built, before any trial runs, for
-        # M1 as for M2 requests
+        # the knobs travel in the M2 request, rejected when it is built,
+        # before any config or trial exists; the config has no field for them
         with pytest.raises(ValueError, match=message):
-            m1_config(request=request_, **knob)
+            request_(0.2, 0.1, **knob)
+        with pytest.raises(TypeError):
+            m1_config(request=request_(0.2, 0.1), **knob)
 
     def test_sampling_law_matches_sigma(self):
         # draws at a banded p = 256 design have mean mu1 and covariance

@@ -22,15 +22,14 @@ from eddr.wishart import (
     MOMENT_POWERS,
     MomentQuery,
     all_moments,
+    _quad_form_cov,
     chi_square_moment,
-    cov_delta01,
     quad_moment_mean,
     quad_moment_product,
     sample_wishart,
     trace_invariants,
     var_a1,
     var_a2,
-    var_delta0,
     var_delta1,
 )
 
@@ -166,11 +165,11 @@ class TestVarianceFormulas:
     def test_zero_spectrum(self):
         assert var_a1(10, 5, 0.0) == 0.0
         assert var_a2(10, 5, 0.0, 0.0) == 0.0
-        assert var_delta0(Dims(8, 8, 4), 0.0, 0.0) == 0.0
+        assert _quad_form_cov(Dims(8, 8, 4), 0.0, 0.0) == 0.0
 
     def test_var_delta0_hand_value(self):
         dims = Dims(n1=32, n2=32, p=64)
-        assert var_delta0(dims, 5.0, 1.0) == pytest.approx(1.75)
+        assert _quad_form_cov(dims, 5.0, 1.0) == pytest.approx(1.75)  # Var[d'd] at delta_1 = 5
 
     def test_var_a1_exact_via_oracle(self):
         # Var[tr(W/n)/p] must equal 2 a2/(n p) exactly
@@ -243,7 +242,7 @@ class TestVarianceFormulas:
             d1[i] = dhat @ s @ dhat
         delta1 = float(mu @ mu)
         assert np.var(d0, ddof=1) == pytest.approx(
-            var_delta0(dims, delta1, 1.0), rel=0.10
+            _quad_form_cov(dims, delta1, 1.0), rel=0.10
         )
         assert np.var(d1, ddof=1) == pytest.approx(
             var_delta1(dims, delta1, delta1, 1.0, 1.0), rel=0.10
@@ -263,7 +262,7 @@ class TestVarianceFormulas:
             d0[i] = dhat @ dhat
             d1[i] = dhat @ s @ dhat
         emp = float(np.cov(d0, d1)[0, 1])
-        assert emp == pytest.approx(cov_delta01(dims, float(mu @ mu), 1.0), rel=0.15)
+        assert emp == pytest.approx(_quad_form_cov(dims, float(mu @ mu), 1.0), rel=0.15)
 
 
 class TestSampler:
