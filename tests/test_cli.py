@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eddr
+from eddr import dataio
 from eddr.calibration import CutoffRequest, calibrate
 from eddr.cli import main
 from eddr.core import discriminant_score, pooled_summary
@@ -80,6 +81,15 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", str(bad), f2)
         assert code == 2
         assert "row 2" in err and "column 2" in err
+
+    def test_non_utf8_csv_is_a_data_error(self, capsys, tmp_path, training_files):
+        _, f2, *_ = training_files
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n3,4\xe9\n")
+        code, out, err = run_cli(capsys, "estimate", str(bad), f2)
+        assert code == 2
+        assert out == ""
+        assert err == f"eddr: data error: {bad}: row 2, column 2 is not UTF-8 text\n"
 
     def test_missing_file(self, capsys, training_files):
         f1, *_ = training_files
@@ -253,6 +263,47 @@ class TestClassify:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 1
+
+
+class TestByteRanges:
+    """Outputs do not depend on how many byte ranges each CSV body is cut into."""
+
+    def test_outputs_identical_across_range_counts(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        p = 40
+        arrays = {"g1": rng.standard_normal((30, p)) + 0.3, "g2": rng.standard_normal((20, p)),
+                  "query": rng.standard_normal((200, p))}
+        paths = {}
+        for name, a in arrays.items():
+            paths[name] = str(tmp_path / f"{name}.csv")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(_csv(a))
+        g1, g2, query = paths["g1"], paths["g2"], paths["query"]
+        commands = [
+            ["estimate", g1, g2],
+            ["calibrate", g1, g2, "--method", "m1", "--alpha", "0.1"],
+            ["classify", g1, g2, query, "--method", "m1", "--alpha", "0.1"],
+            ["classify", g1, g2, query, "--method", "m1", "--alpha", "0.1",
+             "--out", str(tmp_path / "labels.csv")],
+        ]
+
+        def run_all(cores):
+            monkeypatch.setattr(dataio, "_cores", lambda: cores)
+            outputs = []
+            for argv in commands:
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0
+                outputs.append(out)
+            outputs.append((tmp_path / "labels.csv").read_bytes())
+            return outputs
+
+        monkeypatch.setattr(dataio, "_SEGMENT_MIN_BYTES", 1)
+        one = run_all(1)
+        assert all(len(dataio._body_ranges(path, None)) == 1 for path in paths.values())
+        several = run_all(4)
+        assert all(len(dataio._body_ranges(path, None)) == 4 for path in paths.values())
+        assert several == one
+        assert [len(out.splitlines()) for out in one] == [16, 11, 200, 0, 200]
 
 
 class TestSimulate:

@@ -1,5 +1,8 @@
 """CSV reading: the numpy fast stage against the checked row-by-row parser."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,9 @@ from eddr.exceptions import DataFormatError
 
 
 def write_csv(path, text):
-    # newline="" keeps CRLF and lone CR exactly as given
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    # newline="" keeps CRLF and lone CR exactly as given; a lone surrogate
+    # "\udcXX" is written as the byte 0xXX, which is not UTF-8
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write(text)
     return str(path)
 
@@ -79,19 +83,36 @@ def csv_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("dataio") / "doc.csv")
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(text=csv_documents(), skip_header=st.sampled_from([None, True, False]))
-def test_reader_matches_checked_parser(csv_path, text, skip_header):
+def force_ranges(monkeypatch, cores=5):
+    """Cut every non-empty body into up to ``cores`` byte ranges, whatever its size."""
+    monkeypatch.setattr(dataio, "_SEGMENT_MIN_BYTES", 1)
+    monkeypatch.setattr(dataio, "_cores", lambda: cores)
+
+
+def assert_matches_checked(csv_path, text, skip_header):
     write_csv(csv_path, text)
     assert outcome(read_matrix_csv, csv_path, skip_header) == outcome(
         dataio._read_checked, csv_path, skip_header)
 
 
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(text=csv_documents(), skip_header=st.sampled_from([None, True, False]))
+def test_reader_matches_checked_parser(csv_path, text, skip_header):
+    assert_matches_checked(csv_path, text, skip_header)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(text=csv_documents(), skip_header=st.sampled_from([None, True, False]))
+def test_segmented_reader_matches_checked_parser(csv_path, text, skip_header):
+    with pytest.MonkeyPatch.context() as mp:
+        force_ranges(mp)
+        assert_matches_checked(csv_path, text, skip_header)
+
+
 # -- the fast stage is taken --------------------------------------------------
 
-def test_clean_file_bypasses_checked_parser(tmp_path, monkeypatch):
-    # with the checked parser broken, a clean file still reads correctly,
-    # so the fast stage returned it (no timing involved)
+def clean_file(tmp_path, monkeypatch):
+    """A clean file, with the checked parser broken so only the fast stage can read it."""
     x = np.random.default_rng(5).standard_normal((50, 300)) * 10.0 ** np.arange(-150, 150)
     path = write_csv(tmp_path / "clean.csv",
                      "\n".join(",".join(map(repr, row)) for row in x.tolist()) + "\n")
@@ -100,9 +121,86 @@ def test_clean_file_bypasses_checked_parser(tmp_path, monkeypatch):
         raise AssertionError("checked parser called")
 
     monkeypatch.setattr(dataio, "_parse_row", broken)
+    return path, x
+
+
+def test_clean_file_bypasses_checked_parser(tmp_path, monkeypatch):
+    # with the checked parser broken, a clean file still reads correctly,
+    # so the fast stage returned it (no timing involved)
+    path, x = clean_file(tmp_path, monkeypatch)
     got = read_matrix_csv(path)
     assert got.shape == x.shape
     assert got.tobytes() == x.tobytes()
+
+
+def test_clean_file_bypasses_checked_parser_in_ranges(tmp_path, monkeypatch):
+    path, x = clean_file(tmp_path, monkeypatch)
+    force_ranges(monkeypatch)
+    assert len(dataio._body_ranges(path, None)) == 5
+    got = read_matrix_csv(path)
+    assert got.shape == x.shape
+    assert got.tobytes() == x.tobytes()
+
+
+# -- byte ranges and child processes ------------------------------------------
+
+def numbered_rows(rows, cols=3):
+    return "".join(",".join(str(r * cols + c) for c in range(cols)) + "\n" for r in range(rows))
+
+
+def test_bad_cell_in_last_range_reports_as_before(tmp_path, monkeypatch):
+    text = "c1,c2,c3\n" + numbered_rows(39) + "1,2,oops\n"
+    path = write_csv(tmp_path / "bad.csv", text)
+    force_ranges(monkeypatch, cores=3)
+    ranges = dataio._body_ranges(path, None)
+    assert len(ranges) == 3 and ranges[-1][0] < len(text) - len("1,2,oops\n")
+    with pytest.raises(DataFormatError) as exc:
+        read_matrix_csv(path)
+    assert str(exc.value) == f"{path}: row 41, column 3: not a number: 'oops'"
+    assert outcome(read_matrix_csv, path, None) == outcome(dataio._read_checked, path, None)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 2,000 rows: past the first read of the header stage, which decodes ahead
+@pytest.mark.parametrize("text, error", [
+    (numbered_rows(2000), None),
+    (numbered_rows(1999) + "1,2,oops\n", "row 2000, column 3: not a number: 'oops'"),
+    ("oops,1,2\n" + numbered_rows(1999), "row 1, column 1: not a number: 'oops'"),
+    (numbered_rows(1999) + "1,\udce9,3\n", "row 2000, column 2 is not UTF-8 text"),
+], ids=["read", "child fails", "caller fails", "child meets a non-UTF-8 byte"])
+def test_every_child_is_reaped(tmp_path, monkeypatch, text, error):
+    path = write_csv(tmp_path / "m.csv", text)
+    force_ranges(monkeypatch, cores=4)
+    forks = []
+    fork_parse = dataio._fork_parse
+    monkeypatch.setattr(dataio, "_fork_parse", lambda *a: forks.append(a) or fork_parse(*a))
+    if error is None:
+        assert read_matrix_csv(path).shape == (2000, 3)
+    else:
+        with pytest.raises(DataFormatError, match=error):
+            read_matrix_csv(path)
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+def test_killed_child_falls_back(tmp_path, monkeypatch):
+    path = write_csv(tmp_path / "m.csv", numbered_rows(40))
+    force_ranges(monkeypatch, cores=3)
+    parent, parse_range = os.getpid(), dataio._parse_range
+
+    def parse_or_die(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse_range(*args)
+
+    monkeypatch.setattr(dataio, "_parse_range", parse_or_die)
+    got = read_matrix_csv(path)
+    assert got.tobytes() == dataio._read_checked(path, None).tobytes()
+    assert_no_child_left()
 
 
 # -- plain cases ---------------------------------------------------------------
@@ -160,6 +258,8 @@ def test_first_line_with_a_number_is_data(tmp_path, text, message):
     ("1,2\n3,inf\n", "row 2, column 2 is not finite"),
     ("c1,c2\n\n1,2\ninf,3\n", "row 4, column 1 is not finite"),
     ("1,2\n3,4,\n", "row 2, column 3 is empty"),
+    ("1,2\n3,4\udce9\n", "row 2, column 2 is not UTF-8 text"),
+    ("\udcff,x\n1,2\n", "row 1, column 1 is not UTF-8 text"),
 ])
 def test_diagnostics(tmp_path, text, message):
     with pytest.raises(DataFormatError, match=message):
