@@ -25,8 +25,6 @@ import numpy as np
 
 from .core import TwoSampleSummary, std_normal_quantile
 from .error_model import (
-    DEFAULT_LOGIT_VARIANCE,
-    LOGIT_VARIANCE_CONVENTIONS,
     AsymptoticLaw,
     LimitParams,
     asymptotic_law,
@@ -43,6 +41,14 @@ from .exceptions import CalibrationInfeasibleError
 #: cut-off until it is self-consistent.
 M2_ANCHORS = ("eu", "fixed-point")
 DEFAULT_M2_ANCHOR = "eu"
+
+#: How the logit variant of M2 spreads the error law on the logit scale
+#: at a percentile g in (0, 1): "plain" gives tau_ell = sqrt(tau2 /
+#: (g(1-g))), "delta" the delta-method form sqrt(tau2) / (g(1-g)).
+#: "delta" is the default: it is consistent with the derivative of the
+#: logit map and reproduces the reference confidence tables (see README).
+LOGIT_VARIANCE_CONVENTIONS = ("plain", "delta")
+DEFAULT_LOGIT_VARIANCE = "delta"
 
 #: The fixed-point anchor stops once the cut-off moves by at most
 #: FIXED_POINT_TOL * (sqrt(v0) + |c|), a bound that scales like the
@@ -65,8 +71,8 @@ class CutoffRequest:
     M1; ``eu``, ``beta`` and the two M2 knobs for either M2 variant.
     ``anchor`` (one of :data:`M2_ANCHORS`) picks where the error law is
     evaluated and ``logit_variance`` (one of
-    :data:`~eddr.error_model.LOGIT_VARIANCE_CONVENTIONS`) how its logit
-    spread is taken; an M2 request left without them gets the defaults.
+    :data:`LOGIT_VARIANCE_CONVENTIONS`) how the logit variant spreads it;
+    an M2 request left without them gets the defaults.
     """
 
     variant: CutoffVariant
@@ -104,14 +110,14 @@ class CutoffRequest:
         return cls(variant=CutoffVariant.M1, alpha=alpha)
 
     @classmethod
-    def m2_normal(cls, eu: float, beta: float, *, anchor: str = DEFAULT_M2_ANCHOR,
-                  logit_variance: str = DEFAULT_LOGIT_VARIANCE) -> "CutoffRequest":
+    def m2_normal(cls, eu: float, beta: float, *, anchor: str | None = None,
+                  logit_variance: str | None = None) -> "CutoffRequest":
         return cls(variant=CutoffVariant.M2_NORMAL, eu=eu, beta=beta, anchor=anchor,
                    logit_variance=logit_variance)
 
     @classmethod
-    def m2_logit(cls, eu: float, beta: float, *, anchor: str = DEFAULT_M2_ANCHOR,
-                 logit_variance: str = DEFAULT_LOGIT_VARIANCE) -> "CutoffRequest":
+    def m2_logit(cls, eu: float, beta: float, *, anchor: str | None = None,
+                 logit_variance: str | None = None) -> "CutoffRequest":
         return cls(variant=CutoffVariant.M2_LOGIT, eu=eu, beta=beta, anchor=anchor,
                    logit_variance=logit_variance)
 
@@ -180,10 +186,10 @@ def m2_cutoff(lp: LimitParams, law: AsymptoticLaw, req: CutoffRequest) -> Cutoff
     For ``M2_NORMAL`` requests with gamma outside (0,1) the logit variant
     is used instead and the result is flagged with ``fell_back=True``.
     gamma exactly 0 or 1 counts as out of range (its quantile is not
-    defined).  The logit-scale spread rescales sqrt(tau2) by the logit
-    derivative at the normal-scale gamma when that lies in (0,1), else it
-    is sqrt(tau_ell2).  Like the M1 cut-off, it scales by ``s^2`` under
-    data scaling x -> s x.
+    defined).  The logit variant spreads the law by ``req.logit_variance``
+    (see :data:`LOGIT_VARIANCE_CONVENTIONS`) at the normal-scale gamma
+    when that lies in (0,1), else at the law's e0.  Like the M1 cut-off,
+    it scales by ``s^2`` under data scaling x -> s x.
     """
     if req.variant == CutoffVariant.M1:
         raise ValueError("m2_cutoff expects an M2 request")
@@ -195,14 +201,12 @@ def m2_cutoff(lp: LimitParams, law: AsymptoticLaw, req: CutoffRequest) -> Cutoff
             return CutoffResult(c=_quantile_cutoff(lp, gamma_n),
                                 variant_used=CutoffVariant.M2_NORMAL, gamma=gamma_n)
         fell_back = True
-    if 0.0 < gamma_n < 1.0:
-        spread = gamma_n * (1.0 - gamma_n)
-        if law.logit_variance == "plain":
-            tau_ell = math.sqrt(law.tau2 / spread)
-        else:
-            tau_ell = math.sqrt(law.tau2) / spread
+    g = gamma_n if 0.0 < gamma_n < 1.0 else law.e0
+    spread = g * (1.0 - g)  # > 0 for any double g in (0, 1)
+    if req.logit_variance == "plain":
+        tau_ell = math.sqrt(law.tau2 / spread)
     else:
-        tau_ell = math.sqrt(law.tau_ell2)
+        tau_ell = math.sqrt(law.tau2) / spread
     gamma = gamma_logit(eu, beta, tau_ell)
     if not 0.0 < gamma < 1.0:
         raise CalibrationInfeasibleError(
@@ -247,7 +251,7 @@ def calibrate(summary: TwoSampleSummary, request: CutoffRequest) -> CalibrationO
     # start where the limiting error equals the target upper bound
     c = _quantile_cutoff(lp, request.eu)
     for _ in range(1 + FIXED_POINT_MAX_ITER if request.anchor == "fixed-point" else 1):
-        law = asymptotic_law(lp, theta, c, logit_variance=request.logit_variance)
+        law = asymptotic_law(lp, theta, c)
         res = m2_cutoff(lp, law, request)
         if abs(res.c - c) <= FIXED_POINT_TOL * (math.sqrt(lp.v0) + abs(c)):
             break
@@ -268,4 +272,6 @@ __all__ = [
     "expected_error",
     "M2_ANCHORS",
     "DEFAULT_M2_ANCHOR",
+    "LOGIT_VARIANCE_CONVENTIONS",
+    "DEFAULT_LOGIT_VARIANCE",
 ]

@@ -22,7 +22,9 @@ import sys
 
 from . import __version__
 from .calibration import (
+    DEFAULT_LOGIT_VARIANCE,
     DEFAULT_M2_ANCHOR,
+    LOGIT_VARIANCE_CONVENTIONS,
     M2_ANCHORS,
     CutoffRequest,
     CutoffVariant,
@@ -31,7 +33,7 @@ from .calibration import (
 # classify is not called here: perfbench's traced run wraps eddr.cli.classify by name
 from .core import PI1, PI2, classify, discriminant_score, pooled_summary  # noqa: F401
 from .dataio import RunManifest, format_table_value, read_matrix_csv, write_text_atomic
-from .error_model import DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS, limit_values
+from .error_model import limit_values
 from .estimators import estimate_all
 from .exceptions import (
     CalibrationInfeasibleError,
@@ -88,8 +90,8 @@ def _request_from_args(settings: dict) -> CutoffRequest:
     if eu is None or beta is None:
         raise UsageError(f"--eu and --beta are required for method {method}")
     make = CutoffRequest.m2_normal if method == "m2-normal" else CutoffRequest.m2_logit
-    return make(eu, beta, anchor=settings.get("anchor") or DEFAULT_M2_ANCHOR,
-                logit_variance=settings.get("logit_variance") or DEFAULT_LOGIT_VARIANCE)
+    return make(eu, beta, anchor=settings.get("anchor"),
+                logit_variance=settings.get("logit_variance"))
 
 
 class UsageError(Exception):
@@ -198,8 +200,12 @@ def cmd_classify(args) -> int:
 
 def _parse_config_file(path: str) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for i, raw in enumerate(fh):
+            try:
+                raw.encode("utf-8")  # undecodable bytes came in as lone surrogates
+            except UnicodeEncodeError:
+                raise DataFormatError(f"{path}: line {i + 1}: not UTF-8 text") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -225,7 +231,11 @@ def _resolve_sim_settings(args) -> dict:
         for key, value in raw.items():
             if key not in _SIM_KEYS:
                 raise DataFormatError(f"{args.config}: unknown key {key!r}")
-            settings[key] = _SIM_KEYS[key](value)
+            try:
+                settings[key] = _SIM_KEYS[key](value)
+            except ValueError:
+                raise UsageError(f"{args.config}: {key} must be of type "
+                                 f"{_SIM_KEYS[key].__name__}, got {value!r}") from None
             if key in _CHOICES and settings[key] not in _CHOICES[key]:
                 raise UsageError(
                     f"{args.config}: {key} must be one of {', '.join(_CHOICES[key])}, "
@@ -303,6 +313,10 @@ def cmd_simulate(args) -> int:
         for n1, n2 in cells_n
         for p in p_values
     ]
+    # the outputs are written after the last trial: a missing directory must fail first
+    out_dir = os.path.dirname(os.path.abspath(f"{out_prefix}.csv"))
+    if not os.path.isdir(out_dir):
+        raise FileNotFoundError(f"--out {out_prefix!r}: directory {out_dir!r} does not exist")
 
     manifest = RunManifest(
         command="simulate",

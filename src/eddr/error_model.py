@@ -13,7 +13,7 @@ together, (U, V) concentrate at
 so the expected error converges to ``Phi((u0 + c)/sqrt(v0))``.  This
 module assembles the plug-in versions of (u0, v0), the 2x2 covariance of
 (U, V) built from the h_u / h_v / h_uv moment functions, and the
-delta-method normal law of the conditional error and of its logit.
+delta-method normal law of the conditional error.
 
 A note on scaling: ``theta`` below is a *finite-sample* covariance — its
 entries already carry the 1/n decay.  Consequently ``tau2 = grad' theta
@@ -47,15 +47,6 @@ from .estimators import DeltaEstimates, TraceEstimates
 from .exceptions import CalibrationInfeasibleError
 from .wishart import _quad_form_cov, var_delta1
 
-#: Conventions for the variance of the logit of the conditional error.
-#: "plain" divides tau2 by e0(1-e0) once; "delta" is the delta-method
-#: form with the squared denominator.  "delta" is the default: it is the
-#: variant consistent with the derivative of the logit map and the one
-#: that reproduces the reference confidence tables (see README).
-LOGIT_VARIANCE_CONVENTIONS = ("plain", "delta")
-DEFAULT_LOGIT_VARIANCE = "delta"
-
-
 @dataclass(frozen=True)
 class LimitParams:
     """Plug-in limit of the conditional-error location/scale pair."""
@@ -77,18 +68,14 @@ class AsymptoticLaw:
     """Normal law of the conditional error at a given cut-off.
 
     ``theta`` is the 2x2 covariance of the (U, V) statistics, ``grad`` the
-    gradient of the error map at (u0, v0), ``tau2 = grad' theta grad`` the
-    variance of the conditional error, and ``tau_ell2`` the variance of
-    its logit under the chosen convention.
+    gradient of the error map at (u0, v0) and ``tau2 = grad' theta grad``
+    the variance of the conditional error.
     """
 
     e0: float
-    ell0: float
     tau2: float
-    tau_ell2: float
     theta: np.ndarray
     grad: np.ndarray
-    logit_variance: str = DEFAULT_LOGIT_VARIANCE
 
 
 def limit_values(d0: float, d1: float, a2: float, dims: Dims) -> tuple[float, float]:
@@ -144,24 +131,16 @@ def estimator_covariance(d: DeltaEstimates, t: TraceEstimates, dims: Dims) -> np
     return np.array([[vu, cross], [cross, vv]])
 
 
-def asymptotic_law(
-    lp: LimitParams,
-    theta: np.ndarray,
-    c: float,
-    logit_variance: str = DEFAULT_LOGIT_VARIANCE,
-) -> AsymptoticLaw:
+def asymptotic_law(lp: LimitParams, theta: np.ndarray, c: float) -> AsymptoticLaw:
     """Normal law of the conditional error at cut-off ``c``.
 
     ``theta`` is one of the two covariance matrices described above.
 
     Raises :class:`CalibrationInfeasibleError` when the plug-in covariance
     is indefinite enough to make tau2 negative, when tau2 is not finite,
-    when v0 is too small for the gradient, when e0 degenerates to 0 or
-    1 in floating point, or when e0 is so near 0 or 1 that the logit
-    variance's denominator underflows to 0.
+    when v0 is too small for the gradient, or when e0 degenerates to 0
+    or 1 in floating point.
     """
-    if logit_variance not in LOGIT_VARIANCE_CONVENTIONS:
-        raise ValueError(f"unknown logit variance convention {logit_variance!r}")
     sv = math.sqrt(lp.v0)
     w = (lp.u0 + c) / sv
     e0 = std_normal_cdf(w)
@@ -177,13 +156,4 @@ def asymptotic_law(
         raise CalibrationInfeasibleError(
             f"plug-in variance of the conditional error is negative or not finite ({tau2:g})"
         )
-    ell0 = math.log(e0 / (1.0 - e0))
-    spread = (1.0 - e0) * e0
-    denom = spread if logit_variance == "plain" else spread**2
-    if denom == 0.0:
-        raise CalibrationInfeasibleError(f"limiting error {e0:g} underflows the logit variance")
-    tau_ell2 = tau2 / denom
-    return AsymptoticLaw(
-        e0=e0, ell0=ell0, tau2=tau2, tau_ell2=float(tau_ell2), theta=theta, grad=grad,
-        logit_variance=logit_variance,
-    )
+    return AsymptoticLaw(e0=e0, tau2=tau2, theta=theta, grad=grad)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dims, cholesky
+from .core import Dims, _check_finite, _check_symmetric, cholesky
 from .exceptions import DimensionError
 
 
@@ -96,9 +96,9 @@ class MomentQuery:
         for name, mat in (("sigma", sigma), ("a", a), ("b", b)):
             if mat.shape != (p, p):
                 raise DimensionError(f"{name} must be {p}x{p}")
-            if not np.allclose(mat, mat.T, rtol=0, atol=1e-10 * max(1.0, np.abs(mat).max())):
-                raise DimensionError(f"{name} must be symmetric")
-        cholesky(sigma)  # SPD required
+            _check_finite(mat, name)
+            _check_symmetric(mat, name)
+        cholesky(sigma)  # SPD required; its own checks cannot fail after the ones above
 
     @cached_property
     def invariants(self) -> TraceInvariants:

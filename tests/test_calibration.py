@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eddr.calibration import (
+    DEFAULT_LOGIT_VARIANCE,
     DEFAULT_M2_ANCHOR,
     CalibrationOutcome,
     CutoffRequest,
@@ -17,9 +18,9 @@ from eddr.calibration import (
     m1_cutoff,
     m2_cutoff,
 )
-from eddr.core import Dims, pooled_summary, std_normal_cdf
+from eddr.core import Dims, pooled_summary, std_normal_cdf, std_normal_quantile
 from eddr.error_model import (
-    DEFAULT_LOGIT_VARIANCE,
+    AsymptoticLaw,
     LimitParams,
     asymptotic_law,
     estimator_covariance,
@@ -34,20 +35,28 @@ GAMMA_NORMAL_EXAMPLE = 0.1177573186524263642568075546
 M2_EXAMPLE_C = -1.05881799977852357059693961
 GAMMA_LOGIT_EXAMPLE = 0.132417540089994690785721735
 GAMMA_NORMAL_OOR = -0.132634787404084110088560616
+# logit variant of the GAMMA_NORMAL_EXAMPLE request (tau = 0.05), spread at
+# that normal-scale gamma
+GAMMA_LOGIT_SPREAD = {"plain": 0.162267529600164069519618425785,
+                      "delta": 0.101750638152649775916305338344}
+# eu = 0.1, beta = 0.01, tau = 0.1 (GAMMA_NORMAL_OOR) spread at e0 = 0.1:
+# tau_ell = 1/3 (plain) or 10/9 (delta); cut-offs at u0 = -2.5, v0 = 9
+FALLBACK_GAMMA = {"plain": 0.0486757561669539161207374852343,
+                  "delta": 0.00830913805055295225521855918352}
+FALLBACK_C = {"plain": -2.47349404017107278557914210039,
+              "delta": -4.68513827427719349774084876219}
 
 DIMS = Dims(n1=32, n2=32, p=64)
 
 
-def law_with(tau2, tau_ell2=None, e0=0.2, convention="delta"):
-    spread = e0 * (1.0 - e0)
-    if tau_ell2 is None:
-        tau_ell2 = tau2 / spread**2 if convention == "delta" else tau2 / spread
-    from eddr.error_model import AsymptoticLaw
+def law_with(tau2, e0=0.2):
+    return AsymptoticLaw(e0=e0, tau2=tau2, theta=np.eye(2), grad=np.ones(2))
 
-    return AsymptoticLaw(
-        e0=e0, ell0=math.log(e0 / (1 - e0)), tau2=tau2, tau_ell2=tau_ell2,
-        theta=np.eye(2), grad=np.ones(2), logit_variance=convention,
-    )
+
+def logit_spread(req, gamma):
+    """The tau_ell that gamma_logit turned into ``gamma`` for ``req``."""
+    shift = math.log(req.eu / (1.0 - req.eu)) - math.log(gamma / (1.0 - gamma))
+    return shift / std_normal_quantile(1.0 - req.beta)
 
 
 class TestRequests:
@@ -206,6 +215,48 @@ class TestM2:
             cuts.append(res.c)
         assert all(b <= a for a, b in zip(cuts, cuts[1:]))
 
+    @pytest.mark.parametrize("convention", ["plain", "delta"])
+    def test_logit_spread_at_normal_gamma(self, convention):
+        lp = LimitParams(u0=-2.5, v0=9.0)
+        req = CutoffRequest.m2_logit(0.2, 0.05, logit_variance=convention)
+        res = m2_cutoff(lp, law_with(tau2=0.05**2), req)
+        assert res.gamma == pytest.approx(GAMMA_LOGIT_SPREAD[convention], rel=1e-12)
+        assert res.c == m1_cutoff(lp, res.gamma).c
+
+    def test_plain_logit_spread_bound(self, rng):
+        # g(1-g) <= 1/4, so the plain convention has tau_ell^2 >= 4 tau2
+        lp = LimitParams(u0=-2.5, v0=9.0)
+        for _ in range(100):
+            tau2 = rng.uniform(1e-4, 0.01)
+            req = CutoffRequest.m2_logit(rng.uniform(0.05, 0.5), rng.uniform(0.01, 0.5),
+                                         logit_variance="plain")
+            res = m2_cutoff(lp, law_with(tau2=tau2, e0=rng.uniform(0.01, 0.99)), req)
+            assert logit_spread(req, res.gamma) ** 2 >= 4.0 * tau2 * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("convention", ["plain", "delta"])
+    @pytest.mark.parametrize("variant", [CutoffVariant.M2_NORMAL, CutoffVariant.M2_LOGIT],
+                             ids=lambda v: v.value)
+    def test_out_of_range_gamma_spreads_at_e0(self, variant, convention):
+        lp = LimitParams(u0=-2.5, v0=9.0)
+        req = CutoffRequest(variant, eu=0.1, beta=0.01, logit_variance=convention)
+        res = m2_cutoff(lp, law_with(tau2=0.1**2, e0=0.1), req)
+        assert res.variant_used == CutoffVariant.M2_LOGIT
+        assert res.fell_back == (variant == CutoffVariant.M2_NORMAL)
+        assert res.gamma == pytest.approx(FALLBACK_GAMMA[convention], rel=1e-12)
+        assert res.c == pytest.approx(FALLBACK_C[convention], rel=1e-12)
+
+    def test_law_too_close_to_zero_for_its_square_is_served(self):
+        # e0 = Phi(-28) ~ 1e-172: (e0 (1 - e0))^2 underflows, but gamma lies
+        # in (0,1), so the spread is taken there and the cut-off exists
+        lp = LimitParams(u0=0.0, v0=1.0)
+        law = asymptotic_law(lp, np.eye(2), c=-28.0)
+        assert 0.0 < law.e0 < 1e-170
+        req = CutoffRequest.m2_logit(0.1, 0.01)
+        assert 0.0 < gamma_normal(req.eu, req.beta, math.sqrt(law.tau2)) < 1.0
+        res = m2_cutoff(lp, law, req)
+        assert res.c == m1_cutoff(lp, res.gamma).c
+        assert not res.fell_back
+
     def test_m1_request_rejected(self):
         lp = LimitParams(u0=-2.5, v0=9.0)
         with pytest.raises(ValueError):
@@ -264,9 +315,9 @@ class TestCalibrate:
 
         calls = []
 
-        def counting_law(lp, theta, c, logit_variance):
+        def counting_law(lp, theta, c):
             calls.append(c)
-            return asymptotic_law(lp, theta, c, logit_variance)
+            return asymptotic_law(lp, theta, c)
 
         def drifting_cutoff(lp, law, req):  # never self-consistent
             res = m2_cutoff(lp, law, req)

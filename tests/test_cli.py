@@ -42,6 +42,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+CALIBRATE_KEYS = ["c", "variant_used", "gamma", "fell_back", "e0", "tau2", "a1", "u0", "v0"]
+ESTIMATE_KEYS = ["a1", "a2", "a3", "a4", "delta0", "delta1", "delta2", "delta3",
+                 "u0", "v0", "n1", "n2", "p", "n"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["estimate"], ESTIMATE_KEYS),
+    (["calibrate", "--method", "m1", "--alpha", "0.2"], CALIBRATE_KEYS),
+    (["calibrate", "--method", "m2-logit", "--eu", "0.3", "--beta", "0.1"], CALIBRATE_KEYS),
+])
+def test_json_keys_are_the_contract(capsys, training_files, argv, keys):
+    f1, f2, *_ = training_files
+    code, out, err = run_cli(capsys, argv[0], f1, f2, *argv[1:])
+    assert code == 0, err
+    assert list(json.loads(out)) == keys
+
+
 class TestEstimate:
     def test_json_output(self, capsys, training_files):
         f1, f2, x1, x2 = training_files
@@ -371,6 +388,19 @@ class TestSimulate:
         assert calls == []
         assert list(tmp_path.glob("x*")) == []
 
+    def test_missing_out_directory_fails_before_the_first_trial(self, capsys, tmp_path,
+                                                               monkeypatch):
+        calls = []
+        monkeypatch.setattr("eddr.cli.run_simulation", lambda cfg, pop: calls.append(cfg))
+        prefix = str(tmp_path / "missing" / "run")
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "12", "--p-grid", "4", "--reps", "10",
+            "--seed", "1", "--method", "m1", "--alpha", "0.2", "--out", prefix,
+        )
+        assert code == 2, err
+        assert f"--out {prefix!r}" in err and ".tmp-" not in err
+        assert calls == []
+
     def test_one_population_per_p(self, capsys, tmp_path, monkeypatch):
         import eddr.cli
 
@@ -453,6 +483,22 @@ class TestSimulate:
         assert code == 1
         assert "bogus" in err
         assert list(tmp_path.glob("bad*")) == []
+
+    def test_non_utf8_config_is_a_data_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(b"seed = 5\nmethod = m1\xe9\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert f"{cfg}: line 2: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("line, key", [("reps = abc", "reps"), ("rho = half", "rho")])
+    def test_config_value_that_does_not_convert_is_named(self, capsys, tmp_path, line, key):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert f"{cfg}: {key} must be of type" in err
+        assert "invalid literal" not in err and "could not convert" not in err
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -1,5 +1,7 @@
 """Limit parameters, moment functions, and the error law."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -111,22 +113,6 @@ class TestAsymptoticLaw:
         assert law.grad[1] == pytest.approx(0.0, abs=1e-16)
         expected = law.theta[0, 0] * std_normal_pdf(0.0) ** 2 / lp.v0
         assert law.tau2 == pytest.approx(expected, rel=1e-12)
-        assert law.ell0 == pytest.approx(0.0, abs=1e-12)
-
-    def test_plain_logit_variance_bound(self):
-        # e0(1-e0) <= 1/4, so the plain convention has tau_ell2 >= 4 tau2
-        t, d = traces(), deltas()
-        lp = limits(d, t, DIMS)
-        for c in (-1.0, 0.5, 2.5, 4.0):
-            law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=c, logit_variance="plain")
-            assert law.tau_ell2 >= 4.0 * law.tau2 - 1e-12
-
-    def test_delta_logit_variance(self):
-        t, d = traces(), deltas()
-        lp = limits(d, t, DIMS)
-        law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=1.0, logit_variance="delta")
-        spread = law.e0 * (1 - law.e0)
-        assert law.tau_ell2 == pytest.approx(law.tau2 / spread**2, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         from eddr.core import std_normal_cdf
@@ -152,15 +138,6 @@ class TestAsymptoticLaw:
         with pytest.raises(CalibrationInfeasibleError):
             asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=1e6)
 
-    def test_underflowing_logit_variance_rejected(self):
-        # e0 = Phi(-28) ~ 1e-172 is positive, but e0^2 underflows: once a
-        # raw ZeroDivisionError, which the fixed-point anchor could reach
-        lp = LimitParams(u0=0.0, v0=1.0)
-        with pytest.raises(CalibrationInfeasibleError, match="underflows the logit variance"):
-            asymptotic_law(lp, np.eye(2), c=-28.0)
-        # the plain convention's denominator e0 (1 - e0) does not underflow
-        assert asymptotic_law(lp, np.eye(2), c=-28.0, logit_variance="plain").e0 > 0.0
-
     def test_negative_variance_rejected(self):
         # a huge positive cross estimate makes the plug-in matrix indefinite
         t = traces(a2=0.01, a3=0.0, a4=0.01)
@@ -177,10 +154,13 @@ class TestAsymptoticLaw:
             asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0)
 
     def test_unknown_flags_rejected(self):
+        # the law has no options: the logit-scale spread belongs to M2's cut-off
         t, d = traces(), deltas()
         lp = limits(d, t, DIMS)
-        with pytest.raises(ValueError):
-            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0, logit_variance="bogus")
+        with pytest.raises(TypeError):
+            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0, logit_variance="delta")
+        assert list(inspect.signature(asymptotic_law).parameters) == ["lp", "theta", "c"]
+        assert [f.name for f in dataclasses.fields(AsymptoticLaw)] == ["e0", "tau2", "theta", "grad"]
 
 
 class TestThetaSources:

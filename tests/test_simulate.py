@@ -322,6 +322,26 @@ class TestExclusions:
         assert res.n_excluded == 1
         assert len(res.records) == 3999
 
+    def test_fixed_point_m2_trials_are_not_refused_for_a_tiny_error(self, monkeypatch):
+        # the fixed-point anchor can evaluate the law where (e0 (1 - e0))^2
+        # underflows; four of these 300 trials were once refused for it
+        real = sim.run_trial
+        reasons = []
+
+        def recording(cfg, pop, rng, x):
+            try:
+                return real(cfg, pop, rng, x)
+            except CalibrationInfeasibleError as exc:
+                reasons.append(str(exc))
+                raise
+
+        monkeypatch.setattr(sim, "run_trial", recording)
+        request = CutoffRequest.m2_logit(0.1, 0.01, anchor="fixed-point")
+        res = run_simulation(SimConfig(p=8, n1=16, n2=16, rho=0.5, reps=300, seed=77,
+                                       request=request))
+        assert not [r for r in reasons if "underflows" in r]
+        assert res.n_excluded == 0
+
 
 class TestAggregates:
     def records(self, values):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from eddr.core import Dims
+from eddr.exceptions import DimensionError
 from eddr.verify import mc_moment_suite, scalar_reduction_suite
 from eddr.wishart import (
     _MOMENT_KERNELS,
@@ -156,6 +157,20 @@ class TestInvariances:
         )
         for name in base:
             assert rotated[name] == pytest.approx(base[name], rel=1e-8)
+
+
+class TestMomentQuery:
+    @pytest.mark.parametrize("name", ["sigma", "a", "b"])
+    def test_each_matrix_is_checked_once_by_name(self, name):
+        # one tolerance for all three, and the message names the culprit
+        mats = dict(sigma=np.eye(3), a=np.eye(3), b=np.eye(3))
+        mats[name] = mats[name].copy()
+        mats[name][0, 1] += 1e-11
+        with pytest.raises(DimensionError, match=f"^{name} is not symmetric within relative 1e-12"):
+            MomentQuery(n=5, **mats)
+        mats[name][0, 1] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite values"):
+            MomentQuery(n=5, **mats)
 
 
 class TestVarianceFormulas:
