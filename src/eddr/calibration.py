@@ -143,9 +143,7 @@ def _quantile_cutoff(lp: LimitParams, g: float) -> float:
 
 
 def m1_cutoff(lp: LimitParams, alpha: float) -> CutoffResult:
-    """Cut-off with limiting expected error exactly alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0,1), got {alpha}")
+    """Cut-off with limiting expected error exactly alpha; ValueError unless 0 < alpha < 1."""
     return CutoffResult(c=_quantile_cutoff(lp, alpha), variant_used=CutoffVariant.M1)
 
 

@@ -18,7 +18,11 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
+from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .calibration import (
@@ -32,7 +36,7 @@ from .calibration import (
 )
 # classify is not called here: perfbench's traced run wraps eddr.cli.classify by name
 from .core import PI1, PI2, classify, discriminant_score, pooled_summary  # noqa: F401
-from .dataio import RunManifest, format_table_value, read_matrix_csv, write_text_atomic
+from .dataio import format_table_value, read_matrix_csv, write_text_atomic
 from .error_model import limit_values
 from .estimators import estimate_all
 from .exceptions import (
@@ -75,9 +79,14 @@ class _Parser(argparse.ArgumentParser):
 def _load_training(args) -> tuple:
     x1 = read_matrix_csv(args.train1, skip_header=args.skip_header or None)
     x2 = read_matrix_csv(args.train2, skip_header=args.skip_header or None)
-    if x1.size == 0 or x2.size == 0:
-        raise DataFormatError("training files must contain at least two rows each")
     return pooled_summary(x1, x2)
+
+
+def _require_out_dir(out: str, path: str) -> None:
+    """Outputs are written after all the work: a missing directory for ``path`` must fail first."""
+    out_dir = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(out_dir):
+        raise FileNotFoundError(f"--out {out!r}: directory {out_dir!r} does not exist")
 
 
 def _request_from_args(settings: dict) -> CutoffRequest:
@@ -168,6 +177,8 @@ def cmd_classify(args) -> int:
         request = _request_from_args(vars(args))
     elif not math.isfinite(args.cutoff):
         raise UsageError(f"--cutoff must be finite, got {args.cutoff}")
+    if args.out:
+        _require_out_dir(args.out, args.out)
     summary = _load_training(args)
     query = read_matrix_csv(args.query, skip_header=args.skip_header or None)
     if args.cutoff is not None:
@@ -180,8 +191,6 @@ def cmd_classify(args) -> int:
             raise DimensionError(
                 f"query has {query.shape[1]} columns, training has {summary.p}"
             )
-        if not math.isfinite(c):
-            raise ValueError("cut-off must be finite")
         threshold = 2.0 * c  # core.classify's rule: group 1 iff the score exceeds 2c
         for row in query:
             score = discriminant_score(row, summary)
@@ -279,8 +288,6 @@ def cmd_simulate(args) -> int:
     for required in ("seed", "method"):
         if required not in settings:
             raise UsageError(f"simulate needs --{required.replace('_', '-')}")
-    if settings["reps"] < 1:
-        raise UsageError("--reps must be positive")
     request = _request_from_args(settings)
 
     if "n1" in settings or "n2" in settings:
@@ -300,7 +307,7 @@ def cmd_simulate(args) -> int:
     p_values = _int_list(settings["p_grid"], "--p-grid")
 
     rho = settings.get("rho", 0.0)
-    bandwidth = settings.get("bandwidth", 50)
+    bandwidth = settings.get("bandwidth", SimConfig.bandwidth)
     workers = settings["workers"] if "workers" in settings else _env_workers()
     out_prefix = settings.get("out", "simulation")
     # every cell is validated before the first one runs
@@ -313,17 +320,8 @@ def cmd_simulate(args) -> int:
         for n1, n2 in cells_n
         for p in p_values
     ]
-    # the outputs are written after the last trial: a missing directory must fail first
-    out_dir = os.path.dirname(os.path.abspath(f"{out_prefix}.csv"))
-    if not os.path.isdir(out_dir):
-        raise FileNotFoundError(f"--out {out_prefix!r}: directory {out_dir!r} does not exist")
-
-    manifest = RunManifest(
-        command="simulate",
-        config={**{k: settings.get(k) for k in sorted(settings)}, "resolved_workers": workers},
-        seed=settings["seed"],
-    )
-    manifest.mark_started()
+    _require_out_dir(out_prefix, f"{out_prefix}.csv")
+    started = datetime.now(timezone.utc).isoformat()
 
     cells = []
     populations = {}  # the design depends on p alone within one grid
@@ -360,9 +358,18 @@ def cmd_simulate(args) -> int:
     write_text_atomic(csv_path, csv_text)
     sidecar = json.dumps({"value": value_key, "cells": cells}, indent=2, allow_nan=False)
     write_text_atomic(sidecar_path, sidecar + "\n")
-    manifest.outputs = [csv_path, sidecar_path]
-    manifest.mark_finished()
-    manifest.write(manifest_path)
+    # everything needed to reproduce the outputs exactly
+    manifest = {
+        "command": "simulate",
+        "config": {**{k: settings[k] for k in sorted(settings)}, "resolved_workers": workers},
+        "seed": settings["seed"],
+        "outputs": [csv_path, sidecar_path],
+        "started": started,
+        "finished": datetime.now(timezone.utc).isoformat(),
+        "versions": {"eddr": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+    }
+    write_text_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
     sys.stdout.write(csv_text)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""CSV ingestion and run manifests.
+"""CSV ingestion and atomic text output.
 
 Input files are plain comma-separated numeric matrices, one observation
 per row, '.' as the decimal mark, UTF-8 with or without a byte-order
@@ -23,26 +23,14 @@ or on how many ranges the body was cut into.
 
 from __future__ import annotations
 
-import dataclasses
 import io
-import json
 import os
-import platform
 import tempfile
 import warnings
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 import numpy as np
 
 from .exceptions import DataFormatError
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    _EDDR_VERSION = _pkg_version("eddr")
-except Exception:  # pragma: no cover - not installed
-    _EDDR_VERSION = "unknown"
 
 
 def _parse_row(line: str, row_index: int, path: str) -> list[float]:
@@ -284,34 +272,6 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a command's outputs exactly."""
-
-    command: str
-    config: dict
-    seed: int | None
-    outputs: list[str] = field(default_factory=list)
-    started: str = ""
-    finished: str = ""
-    versions: dict = field(
-        default_factory=lambda: {
-            "eddr": _EDDR_VERSION,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        }
-    )
-
-    def mark_started(self) -> None:
-        self.started = datetime.now(timezone.utc).isoformat()
-
-    def mark_finished(self) -> None:
-        self.finished = datetime.now(timezone.utc).isoformat()
-
-    def write(self, path: str) -> None:
-        write_text_atomic(path, json.dumps(dataclasses.asdict(self), indent=2) + "\n")
 
 
 def format_table_value(x: float) -> str:

@@ -120,6 +120,10 @@ def delta3_from_stats(q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p):
 # summary-based operations
 # ---------------------------------------------------------------------------
 
+#: Smallest n = n1 + n2 - 2 for which :func:`estimate_all` is defined.
+_ALL_MIN_N = 7
+
+
 def _finite(name: str, value) -> float:
     """``value`` as a float; a statistic that overflowed double precision raises."""
     value = float(value)
@@ -160,8 +164,8 @@ def estimate_all(summary: TwoSampleSummary):
     """
     s = summary
     n, n1, n2, p = s.n, s.n1, s.n2, s.p
-    if n < 7:
-        raise DimensionError(f"estimate_all requires n >= 7, got n = {n}")
+    if n < _ALL_MIN_N:
+        raise DimensionError(f"estimate_all requires n >= {_ALL_MIN_N}, got n = {n}")
     a1, a2, d0, d1 = estimate_low(s)
     a3 = _finite("a3", a3_from_traces(s.t1, s.t2, s.t3, n, p))
     a4 = _finite("a4", a4_from_traces(s.t1, s.t2, s.t3, s.t4, n, p))

@@ -55,12 +55,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .calibration import CutoffRequest, calibrate
+from .calibration import CutoffRequest, CutoffVariant, calibrate
 from .core import Dims, TwoSampleSummary, cholesky, pooled_summary, std_normal_cdf
 # not called here: the traced benchmark (perfbench/sims.py) wraps
 # eddr.simulate.estimate_all by name
-from .estimators import estimate_all  # noqa: F401
-from .exceptions import CalibrationInfeasibleError, NotPositiveDefiniteError, SimulationError
+from .estimators import _ALL_MIN_N, estimate_all  # noqa: F401
+from .exceptions import (
+    CalibrationInfeasibleError,
+    DimensionError,
+    NotPositiveDefiniteError,
+    SimulationError,
+)
 
 #: Separation between the group means on the squared-distance scale used
 #: by the simulation design: mu1 is placed so that Sigma^{-1/2} mu1 has
@@ -78,7 +83,8 @@ class SimConfig:
     ``reps``, ``seed``, ``bandwidth`` and ``workers`` must be integers
     (anything :func:`operator.index` accepts) and are stored as Python
     ``int``; the sizes are checked by :class:`~eddr.core.Dims`.  The
-    cut-off policy and its knobs are all in ``request``.
+    cut-off policy and its knobs are all in ``request``; an M2 request
+    needs the n1 + n2 - 2 >= 7 of :func:`~eddr.estimators.estimate_all`.
     """
 
     p: int
@@ -92,19 +98,21 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        Dims(self.n1, self.n2, self.p)  # raises DimensionError for bad sizes
         for name in ("reps", "seed", "bandwidth", "workers"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.reps < 1:  # before the sizes: `simulate --reps 0` is a usage error on any grid
+            raise ValueError("reps must be positive")
+        n = Dims(self.n1, self.n2, self.p).n  # raises DimensionError for bad sizes
+        if self.request.variant != CutoffVariant.M1 and n < _ALL_MIN_N:
+            raise DimensionError(f"M2 calibration requires n >= {_ALL_MIN_N}, got n = {n}")
         if not abs(self.rho) < 1:
             raise ValueError("rho must satisfy |rho| < 1")
         if self.bandwidth < 0:
             raise ValueError("bandwidth must be nonnegative")
-        if self.reps < 1:
-            raise ValueError("reps must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -271,6 +272,19 @@ class TestClassify:
         assert out == ""
         assert len(out_path.read_text().strip().splitlines()) == 3
 
+    def test_missing_out_directory_fails_before_any_csv_is_read(self, capsys, tmp_path,
+                                                               training_files, monkeypatch):
+        f1, f2, *_ = training_files
+        reads = []
+        monkeypatch.setattr("eddr.cli.read_matrix_csv", lambda *a, **k: reads.append(a))
+        out_path = str(tmp_path / "missing" / "labels.csv")
+        code, _, err = run_cli(
+            capsys, "classify", f1, f2, f1, "--cutoff", "0.0", "--out", out_path
+        )
+        assert code == 2, err
+        assert reads == []
+        assert "--out" in err and ".tmp-" not in err
+
     def test_calibrated_classification(self, capsys, tmp_path, training_files):
         f1, f2, x1, _ = training_files
         query = tmp_path / "query.csv"
@@ -351,6 +365,20 @@ class TestSimulate:
         assert manifest["seed"] == 9
         assert manifest["outputs"] == [prefix + ".csv", prefix + ".json"]
 
+    def test_manifest_shape(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "6", "--p-grid", "2", "--reps", "5",
+            "--seed", "3", "--method", "m1", "--alpha", "0.3", "--out", str(tmp_path / "m"),
+        )
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        assert list(manifest) == ["command", "config", "seed", "outputs",
+                                  "started", "finished", "versions"]
+        assert list(manifest["versions"]) == ["eddr", "numpy", "python"]
+        assert manifest["versions"]["eddr"] == eddr.__version__
+        started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started", "finished"))
+        assert started <= finished
+
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         args = ["simulate", "--n-grid", "12", "--p-grid", "4", "--reps", "60",
                 "--seed", "31", "--method", "m2-logit", "--eu", "0.3", "--beta", "0.2"]
@@ -367,6 +395,14 @@ class TestSimulate:
             "--out", str(tmp_path / "x"),
         )
         assert code == 1
+
+    def test_zero_reps_is_a_usage_error_before_the_sizes(self, capsys, tmp_path):
+        # SimConfig checks reps before p, so p = 0 does not turn exit 1 into 2
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "12", "--p-grid", "0", "--reps", "0",
+            "--seed", "1", "--method", "m1", "--alpha", "0.2", "--out", str(tmp_path / "x"),
+        )
+        assert code == 1 and "reps must be positive" in err, err
 
     def test_odd_total_rejected(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -385,6 +421,20 @@ class TestSimulate:
             "--out", str(tmp_path / "x"),
         )
         assert code == 2, err
+        assert calls == []
+        assert list(tmp_path.glob("x*")) == []
+
+    def test_m2_sample_size_checked_before_the_first_runs(self, capsys, tmp_path, monkeypatch):
+        # N = 8 leaves n = 6, below the 7 that M2's estimates need
+        calls = []
+        monkeypatch.setattr("eddr.cli.run_simulation", lambda cfg, pop: calls.append(cfg))
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "200,8", "--p-grid", "4", "--reps", "10",
+            "--seed", "1", "--method", "m2-logit", "--eu", "0.1", "--beta", "0.05",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2, err
+        assert "n >= 7" in err
         assert calls == []
         assert list(tmp_path.glob("x*")) == []
 
@@ -746,6 +796,9 @@ def test_finite_inputs_give_finite_output_or_a_typed_exit(
     for path, x in zip(paths, (scale * (rng.standard_normal((n1, p)) + 1.0),
                                scale * rng.standard_normal((n2, p)),
                                10.0**query_exp * rng.standard_normal((3, p)))):
+        # a new file each example: ext4 flushes one rewritten in place on close
+        if os.path.exists(path):
+            os.unlink(path)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_csv(x))
     files = paths if command[0] == "classify" else paths[:2]

@@ -15,7 +15,11 @@ from eddr.exceptions import DataFormatError
 
 def write_csv(path, text):
     # newline="" keeps CRLF and lone CR exactly as given; a lone surrogate
-    # "\udcXX" is written as the byte 0xXX, which is not UTF-8
+    # "\udcXX" is written as the byte 0xXX, which is not UTF-8.  An existing
+    # file is unlinked first: ext4 flushes a file truncated and rewritten in
+    # place when it is closed, about 20 times slower than writing a new one
+    if os.path.exists(path):
+        os.unlink(path)
     with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write(text)
     return str(path)

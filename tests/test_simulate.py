@@ -396,6 +396,14 @@ class TestConfigValidation:
         with pytest.raises(DimensionError, match=f"{size} must be an integer"):
             m1_config(**{size: 8.5})
 
+    def test_m2_needs_the_estimate_all_sample_size(self):
+        # n = n1 + n2 - 2: 6 is too small for M2's eight estimates, 7 is enough
+        m2 = CutoffRequest.m2_logit(0.2, 0.1)
+        with pytest.raises(DimensionError, match="n >= 7, got n = 6"):
+            m1_config(n1=4, n2=4, request=m2)
+        assert m1_config(n1=4, n2=5, request=m2).n1 == 4
+        assert m1_config(n1=4, n2=4).n2 == 4
+
     def test_bad_workers(self):
         with pytest.raises(ValueError):
             m1_config(workers=0)

@@ -64,9 +64,11 @@ def test_trace_wrappers_install_and_restore(perfbench_modules):
 
 
 def test_import_loads_no_scipy():
-    # a fresh interpreter: this one may hold scipy for the reference tests
+    # a fresh interpreter: this one may hold scipy for the reference tests.
+    # Nor importlib.metadata: the version is eddr.__version__, not a lookup
     src = os.path.dirname(os.path.dirname(os.path.abspath(eddr.cli.__file__)))
-    code = "import sys, eddr, eddr.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, eddr, eddr.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy') or m == 'importlib.metadata'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
