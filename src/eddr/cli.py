@@ -54,6 +54,7 @@ from .simulate import (
     make_population,
     run_simulation,
 )
+from .threads import openblas
 from .verify import mc_moment_suite, scalar_reduction_suite
 
 EXIT_OK = 0
@@ -359,6 +360,7 @@ def cmd_simulate(args) -> int:
     sidecar = json.dumps({"value": value_key, "cells": cells}, indent=2, allow_nan=False)
     write_text_atomic(sidecar_path, sidecar + "\n")
     # everything needed to reproduce the outputs exactly
+    blas = openblas()
     manifest = {
         "command": "simulate",
         "config": {**{k: settings[k] for k in sorted(settings)}, "resolved_workers": workers},
@@ -368,6 +370,8 @@ def cmd_simulate(args) -> int:
         "finished": datetime.now(timezone.utc).isoformat(),
         "versions": {"eddr": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
+        # unpinned, the bytes of large designs may depend on the BLAS thread count
+        "blas": {"library": blas and os.path.basename(blas.path), "pinned": blas is not None},
     }
     write_text_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
     sys.stdout.write(csv_text)

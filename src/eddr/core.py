@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 import operator
 import statistics
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .exceptions import DimensionError, NotPositiveDefiniteError, ScoreOverflowError
+from .threads import both
 
 #: Group labels used throughout.
 PI1 = 1
@@ -238,8 +240,26 @@ def _as_observations(x) -> np.ndarray:
     return x
 
 
+def _dual_gram(c: np.ndarray, helper: Executor | None) -> np.ndarray:
+    """``c @ c.T`` from the row split at h = N // 2, the same bits with or without ``helper``.
+
+    The caller forms the two diagonal blocks (symmetric rank updates) and
+    ``helper``, when given, the off-diagonal one; its transpose fills the
+    lower block.
+    """
+    h = c.shape[0] // 2
+    top, bottom = c[:h], c[h:]
+    g = np.empty((c.shape[0], c.shape[0]))
+    both(helper, lambda: np.matmul(top, bottom.T, out=g[:h, h:]),
+         lambda: (np.matmul(top, top.T, out=g[:h, :h]),
+                  np.matmul(bottom, bottom.T, out=g[h:, h:])))
+    g[h:, :h] = g[:h, h:].T
+    return g
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSummary:
+def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None,
+                   _helper: Executor | None = None) -> TwoSampleSummary:
     """Column means of both groups and the power statistics of their pooled covariance.
 
     ``x1`` and ``x2`` hold one group each, a row per observation.  Each
@@ -259,9 +279,17 @@ def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSu
     A statistic that overflows comes out infinite or NaN, as in
     :func:`_power_stats`.
 
+    When p > N, ``G`` is built from a fixed split of the N centred rows at
+    N // 2: the two diagonal blocks and the off-diagonal one are three
+    separate products, the last mirrored.  The split does not depend on
+    the core count, so on one BLAS thread (see :mod:`eddr.threads`)
+    neither do the bits of ``G``.
+
     ``_stacked``, private: an (n1 + n2) x p float array whose two row
     blocks are ``x1`` and ``x2``.  It is centred and scaled in place, and
-    so overwritten, instead of copied.
+    so overwritten, instead of copied.  ``_helper``, private: a one-thread
+    executor (see :mod:`eddr.threads`) that forms the off-diagonal block
+    of ``G`` while the caller forms the diagonal ones.
     """
     x1, x2 = _as_observations(x1), _as_observations(x2)
     n1, p = x1.shape
@@ -279,7 +307,7 @@ def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSu
         base = c.T @ c
         stats = _power_stats(base, d)
     else:
-        base = c @ c.T
+        base = _dual_gram(c, _helper)
         t1, t2, q1, q2, q3, _ = _power_stats(base, c @ d)
         stats = (t1, t2, d @ d, q1, q2, q3)
     return TwoSampleSummary(n1, x2.shape[0], p, xbar1, xbar2, *stats, base)

@@ -31,6 +31,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DataFormatError
+from .threads import cores
 
 
 def _parse_row(line: str, row_index: int, path: str) -> list[float]:
@@ -102,11 +103,7 @@ _BOM = b"\xef\xbb\xbf"
 
 def _cores() -> int:
     """Cores this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return cores() if hasattr(os, "fork") else 1
 
 
 def _body_ranges(path: str, skip_header: bool | None) -> list[tuple[int, int]]:

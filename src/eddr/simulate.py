@@ -41,14 +41,26 @@ attained confidence level (for confidence calibration).
 
 Reproducibility contract: trial i draws all of its randomness from a
 substream derived from (seed, i), so results are bit-identical for any
-worker count and any scheduling order.
+worker count and any scheduling order.  A group of more than
+:data:`BLOCK_ROWS` rows is drawn in blocks of that many rows, block 0
+from the trial's generator and block k >= 1 from its k-th spawned child;
+a smaller group is one draw from the trial's generator.  Building a
+population and running a chunk of trials pin OpenBLAS to one thread
+(:func:`eddr.threads.one_blas_thread`), and one helper thread takes the
+freed core: it solves S-'s eigenvalues while the caller solves S+, and,
+in a chunk whose groups exceed ``BLOCK_ROWS`` rows, draws the odd blocks
+and forms the off-diagonal block of :func:`pooled_summary`'s dual Gram
+matrix.  These splits are fixed, so records are also bit-identical
+across BLAS thread counts and with the helper on or off.  Where no
+OpenBLAS thread setter is found, nothing is pinned and the bits of large
+designs may depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -66,6 +78,7 @@ from .exceptions import (
     NotPositiveDefiniteError,
     SimulationError,
 )
+from .threads import both, cores, one_blas_thread
 
 #: Separation between the group means on the squared-distance scale used
 #: by the simulation design: mu1 is placed so that Sigma^{-1/2} mu1 has
@@ -74,6 +87,9 @@ DESIGN_SEPARATION = 5.0
 
 #: Largest tolerated fraction of trials lost to calibration infeasibility.
 MAX_EXCLUDED_FRACTION = 1e-3
+
+#: Rows per random substream of a group's draw (:meth:`PopulationDesign.sample_group`).
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -201,12 +217,40 @@ class PopulationDesign:
         return self.mu1.shape[0]
 
     def sample_group(self, mu: np.ndarray, rows: int, rng: np.random.Generator,
-                     out: np.ndarray | None = None) -> np.ndarray:
-        """``rows`` draws from N(mu, diag(sd^2)), written into ``out`` when given."""
-        z = rng.standard_normal((rows, self.p), out=out)
-        z *= self.sd
-        z += mu
-        return z
+                     out: np.ndarray | None = None,
+                     helper: Executor | None = None) -> np.ndarray:
+        """``rows`` draws from N(mu, diag(sd^2)), written into ``out`` when given.
+
+        The rows are drawn in blocks of :data:`BLOCK_ROWS`: block 0 from
+        ``rng`` and block k >= 1 from ``rng``'s k-th spawned child, so a
+        group of at most ``BLOCK_ROWS`` rows is exactly
+        ``rng.standard_normal((rows, p)) * sd + mu``.  ``helper``, a
+        one-thread executor (see :mod:`eddr.threads`), draws the odd
+        blocks while the caller draws the even ones; the bits are the same
+        without it.
+        """
+        if out is None:
+            out = np.empty((rows, self.p))
+        if rows <= BLOCK_ROWS:
+            return _draw(rng, out, self.sd, mu)
+        starts = range(BLOCK_ROWS, rows, BLOCK_ROWS)
+        blocks = [(rng, out[:BLOCK_ROWS]),
+                  *zip(rng.spawn(len(starts)), (out[a:a + BLOCK_ROWS] for a in starts))]
+
+        def draw(part):
+            for block_rng, z in part:
+                _draw(block_rng, z, self.sd, mu)
+
+        both(helper, lambda: draw(blocks[1::2]), lambda: draw(blocks[::2]))
+        return out
+
+
+def _draw(rng: np.random.Generator, z: np.ndarray, sd: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Fill the rows of ``z`` with draws from N(mu, diag(sd^2))."""
+    rng.standard_normal(z.shape, out=z)
+    z *= sd
+    z += mu
+    return z
 
 
 def make_population(cfg: SimConfig) -> PopulationDesign:
@@ -218,8 +262,10 @@ def make_population(cfg: SimConfig) -> PopulationDesign:
     it has coordinates sqrt(2) (1 on the middle coordinate of odd p), so
     mu1 is sqrt(lam) |x' 1| sqrt(5/p) on S+'s eigenvectors x and exactly 0
     on S-'s.  Taking the absolute value fixes each eigenvector's sign so
-    that mu1 >= 0, whatever sign LAPACK returns.  A diagonal Sigma (rho = 0
-    or bandwidth 0) needs no solver.  Raises
+    that mu1 >= 0, whatever sign LAPACK returns.  The two solves run on one
+    BLAS thread each, S-'s on a helper thread when this process may use
+    more than one core.  A diagonal Sigma (rho = 0 or bandwidth 0) needs no
+    solver.  Raises
     :class:`NotPositiveDefiniteError` when the smallest eigenvalue is not
     positive.
     """
@@ -229,8 +275,10 @@ def make_population(cfg: SimConfig) -> PopulationDesign:
     if not first[1:].any():
         return PopulationDesign(mu1=np.full(p, scale), mu2=np.zeros(p), sd=np.ones(p))
     s_plus, s_minus = _centrosymmetric_blocks(first)
-    lam_plus, x = np.linalg.eigh(s_plus)
-    lam = np.concatenate([lam_plus, np.linalg.eigvalsh(s_minus)])
+    with one_blas_thread(helper=cores() > 1) as helper:
+        lam_minus, (lam_plus, x) = both(helper, lambda: np.linalg.eigvalsh(s_minus),
+                                        lambda: np.linalg.eigh(s_plus))
+    lam = np.concatenate([lam_plus, lam_minus])
     if not lam.min() > 0.0:
         raise NotPositiveDefiniteError(
             f"banded correlation matrix is not positive definite "
@@ -271,21 +319,22 @@ def conditional_error(err: ErrorInputs, c: float) -> float:
 
 
 def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator,
-              x: np.ndarray | None = None) -> TrialRecord:
+              x: np.ndarray | None = None, helper: Executor | None = None) -> TrialRecord:
     """One full trial: sample, calibrate, and evaluate the conditional error.
 
     ``x`` is an (n1 + n2) x p work matrix that the trial overwrites: its
     row blocks receive the two groups' draws, which are then centred in
-    place.  :func:`_run_chunk` passes one matrix to all of its trials.
+    place.  :func:`_run_chunk` passes one matrix to all of its trials, and
+    its helper thread, if it started one, which does not change the record.
 
     Raises :class:`CalibrationInfeasibleError` when the drawn data do not
     admit the requested cut-off; the driver counts such trials separately.
     """
     if x is None:
         x = np.empty((cfg.n1 + cfg.n2, cfg.p))
-    x1 = pop.sample_group(pop.mu1, cfg.n1, rng, out=x[:cfg.n1])
-    x2 = pop.sample_group(pop.mu2, cfg.n2, rng, out=x[cfg.n1:])
-    summary = pooled_summary(x1, x2, _stacked=x)
+    x1 = pop.sample_group(pop.mu1, cfg.n1, rng, out=x[:cfg.n1], helper=helper)
+    x2 = pop.sample_group(pop.mu2, cfg.n2, rng, out=x[cfg.n1:], helper=helper)
+    summary = pooled_summary(x1, x2, _stacked=x, _helper=helper)
     res = calibrate(summary, cfg.request).result
     ce = conditional_error(error_inputs(summary, pop), res.c)
     # an extreme trial can underflow the error probability to 0.0 or 1.0 in
@@ -301,16 +350,26 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed & (2**64 - 1), index)))
 
 
-def _run_chunk(cfg: SimConfig, pop: PopulationDesign, start: int, stop: int):
+def _run_chunk(cfg: SimConfig, pop: PopulationDesign, start: int, stop: int,
+               processes: int = 1):
+    """Records (None where infeasible) of trials start..stop-1, on one BLAS thread.
+
+    A helper thread starts only when a group has more than ``BLOCK_ROWS``
+    rows and each of the ``processes`` chunks running side by side can have
+    two cores: on smaller designs, waking it costs more than the dual Gram
+    split saves.
+    """
     # one resident work matrix: fresh per-trial arrays of this size can fall
     # to mmap and fault in their pages on every trial
     x = np.empty((cfg.n1 + cfg.n2, cfg.p))
+    helps = max(cfg.n1, cfg.n2) > BLOCK_ROWS and cores() >= 2 * processes
     out = []
-    for i in range(start, stop):
-        try:
-            out.append(run_trial(cfg, pop, _trial_rng(cfg.seed, i), x))
-        except CalibrationInfeasibleError:
-            out.append(None)
+    with one_blas_thread(helper=helps) as helper:
+        for i in range(start, stop):
+            try:
+                out.append(run_trial(cfg, pop, _trial_rng(cfg.seed, i), x, helper))
+            except CalibrationInfeasibleError:
+                out.append(None)
     return out
 
 
@@ -342,7 +401,8 @@ def run_simulation(cfg: SimConfig, pop: PopulationDesign | None = None) -> SimRe
         bounds = [(s, min(s + chunk, cfg.reps)) for s in range(0, cfg.reps, chunk)]
         raw = []
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for part in pool.map(_run_chunk, *zip(*[(cfg, pop, a, b) for a, b in bounds])):
+            tasks = [(cfg, pop, a, b, cfg.workers) for a, b in bounds]
+            for part in pool.map(_run_chunk, *zip(*tasks)):
                 raw.extend(part)
     records = tuple(r for r in raw if r is not None)
     n_excluded = cfg.reps - len(records)

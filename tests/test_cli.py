@@ -373,9 +373,10 @@ class TestSimulate:
         assert code == 0, err
         manifest = json.loads((tmp_path / "m.manifest.json").read_text())
         assert list(manifest) == ["command", "config", "seed", "outputs",
-                                  "started", "finished", "versions"]
+                                  "started", "finished", "versions", "blas"]
         assert list(manifest["versions"]) == ["eddr", "numpy", "python"]
         assert manifest["versions"]["eddr"] == eddr.__version__
+        assert list(manifest["blas"]) == ["library", "pinned"]
         started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started", "finished"))
         assert started <= finished
 

@@ -1,6 +1,9 @@
 """Simulation harness: design construction, trials, determinism, aggregates."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from eddr.calibration import CutoffRequest
 from eddr.core import Dims, cholesky, pooled_summary
 from eddr.error_model import LimitParams, limit_values
 from eddr.estimators import estimate_all, estimate_low
+from eddr.threads import one_blas_thread, openblas
 from eddr.exceptions import (
     CalibrationInfeasibleError,
     DimensionError,
@@ -18,6 +22,7 @@ from eddr.exceptions import (
     SimulationError,
 )
 from eddr.simulate import (
+    BLOCK_ROWS,
     DESIGN_SEPARATION,
     SimConfig,
     TrialRecord,
@@ -223,18 +228,23 @@ class TestTrialMechanics:
         assert err.v == pytest.approx(d @ sigma @ d, rel=1e-9)
         assert err.bias == pytest.approx((9 - 14) / (9 * 14) * tr_s / 2, rel=1e-9)
 
-    @pytest.mark.parametrize("p", [10, 40])  # N = 24: primal and dual statistics
-    def test_work_matrix_reuse_keeps_the_trials(self, p):
+    # N = 24: primal and dual statistics; p = 400 > N = 290 with groups of
+    # two and three substream blocks, drawn and summed partly by the helper
+    @pytest.mark.parametrize("p", [10, 40, 400])
+    def test_work_matrix_reuse_keeps_the_trials(self, p, monkeypatch):
         # a trial overwrites all of its work matrix, so a reused (dirty)
         # one gives the records of a fresh one, bit for bit
-        cfg = m1_config(p=p, n1=10, n2=14, rho=0.5, request=CutoffRequest.m2_logit(0.3, 0.1))
+        n1, n2 = (10, 14) if p < 100 else (130, 160)
+        cfg = m1_config(p=p, n1=n1, n2=n2, rho=0.5, request=CutoffRequest.m2_logit(0.3, 0.1))
         pop = make_population(cfg)
-        x = np.full((24, p), np.nan)
-        for i in range(3):
-            fresh = run_trial(cfg, pop, np.random.default_rng(i))
-            assert run_trial(cfg, pop, np.random.default_rng(i), x) == fresh
-        assert sim._run_chunk(cfg, pop, 0, 3) == [
-            run_trial(cfg, pop, sim._trial_rng(cfg.seed, i)) for i in range(3)]
+        x = np.full((n1 + n2, p), np.nan)
+        monkeypatch.setattr(sim, "cores", lambda: 2)  # a helper wherever one would start
+        with one_blas_thread(helper=False):
+            for i in range(3):
+                fresh = run_trial(cfg, pop, np.random.default_rng(i))
+                assert run_trial(cfg, pop, np.random.default_rng(i), x) == fresh
+            alone = [run_trial(cfg, pop, sim._trial_rng(cfg.seed, i)) for i in range(3)]
+        assert sim._run_chunk(cfg, pop, 0, 3) == alone
 
     def test_trial_record_bounds(self):
         with pytest.raises(SimulationError):
@@ -270,10 +280,6 @@ class TestDeterminism:
         cfg = m1_config(p=256, n1=16, n2=16, rho=0.5, reps=32, seed=5)
         r1 = run_simulation(replace(cfg, workers=1))
         r2 = run_simulation(replace(cfg, workers=2))
-
-        def record_bytes(res):
-            return np.array([(r.cond_error, r.cutoff, r.fell_back) for r in res.records]).tobytes()
-
         assert record_bytes(r1) == record_bytes(r2)
         assert r1.n_excluded == r2.n_excluded
 
@@ -298,9 +304,122 @@ class TestDeterminism:
         assert a1 < a2 < a3
 
 
+def record_bytes(res):
+    return np.array([(r.cond_error, r.cutoff, r.fell_back) for r in res.records]).tobytes()
+
+
+#: Runs the criterion-2 design for three trials in a fresh interpreter and
+#: prints the hash of its record bytes.
+_RECORD_HASH = """
+import hashlib
+import numpy as np
+from eddr.calibration import CutoffRequest
+from eddr.simulate import SimConfig, run_simulation
+cfg = SimConfig(p=1024, n1=256, n2=256, rho=0.5, reps=3, seed=99, request=CutoffRequest.m1(0.3))
+res = run_simulation(cfg)
+rows = np.array([(r.cond_error, r.cutoff, r.fell_back) for r in res.records])
+print(len(res.records), hashlib.sha256(rows.tobytes()).hexdigest())
+"""
+
+
+needs_openblas = pytest.mark.skipif(openblas() is None, reason="no OpenBLAS thread setter found")
+
+
+class TestThreads:
+    @pytest.mark.parametrize("rows", [1, 2, 127, BLOCK_ROWS])
+    def test_small_group_is_one_draw(self, rows):
+        pop = make_population(m1_config(p=12, rho=0.4))
+        want = np.random.default_rng(8).standard_normal((rows, 12)) * pop.sd + pop.mu1
+        got = pop.sample_group(pop.mu1, rows, np.random.default_rng(8))
+        assert got.tobytes() == want.tobytes()
+        out = np.full((rows, 12), np.nan)
+        pop.sample_group(pop.mu1, rows, np.random.default_rng(8), out=out)
+        assert out.tobytes() == want.tobytes()
+
+    def test_large_group_draws_blocks_from_spawned_children(self):
+        # block 0 from the generator, block k >= 1 from its k-th spawned child
+        pop = make_population(m1_config(p=12, rho=0.4))
+        rows = 2 * BLOCK_ROWS + 5
+        rng = np.random.default_rng(8)
+        kids = rng.spawn(2)
+        z = np.vstack([rng.standard_normal((BLOCK_ROWS, 12)),
+                       kids[0].standard_normal((BLOCK_ROWS, 12)),
+                       kids[1].standard_normal((5, 12))])
+        want = z * pop.sd + pop.mu2
+        got = pop.sample_group(pop.mu2, rows, np.random.default_rng(8))
+        assert got.tobytes() == want.tobytes()
+
+    def test_records_do_not_depend_on_the_helper(self, monkeypatch):
+        # p = 420 > N = 398: three blocks for group 1, two for group 2, the
+        # dual Gram split; the helper forced off (one core) and on (two)
+        cfg = m1_config(p=420, n1=2 * BLOCK_ROWS + 10, n2=BLOCK_ROWS + 4, rho=0.5, reps=4)
+        pop = make_population(cfg)
+        helpers = []
+        real = sim.run_trial
+
+        def spy(cfg, pop, rng, x, helper):
+            helpers.append(helper is not None)
+            return real(cfg, pop, rng, x, helper)
+
+        monkeypatch.setattr(sim, "run_trial", spy)
+        monkeypatch.setattr(sim, "cores", lambda: 1)
+        off = run_simulation(cfg, pop)
+        monkeypatch.setattr(sim, "cores", lambda: 2)
+        on = run_simulation(cfg, pop)
+        assert record_bytes(off) == record_bytes(on)
+        assert not any(helpers[:4])
+        assert all(helpers[4:]) or openblas() is None
+
+    @needs_openblas
+    def test_records_do_not_depend_on_blas_threads(self):
+        # ROADMAP item 1's gate: p = 1024 is above OpenBLAS's threading threshold
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+        hashes = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", _RECORD_HASH], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            hashes.append(proc.stdout.split())
+        assert hashes[0][0] == "3"
+        assert hashes[0] == hashes[1]
+
+    @needs_openblas
+    def test_blas_threads_restored(self, monkeypatch):
+        lib = openblas()
+        old = lib.get_threads()
+        seen = []
+        real = sim.run_trial
+
+        def spy(cfg, pop, rng, x, helper):
+            seen.append(lib.get_threads())
+            return real(cfg, pop, rng, x, helper)
+
+        def failing(cfg, pop, rng, x, helper):
+            raise SimulationError("forced")
+
+        cfg = m1_config(p=64, n1=BLOCK_ROWS + 1, n2=4, rho=0.5, reps=3)
+        lib.set_threads(3)
+        try:
+            pop = make_population(cfg)
+            assert lib.get_threads() == 3
+            with pytest.raises(NotPositiveDefiniteError):
+                make_population(m1_config(p=150, rho=0.95, bandwidth=50))
+            assert lib.get_threads() == 3
+            monkeypatch.setattr(sim, "run_trial", spy)
+            run_simulation(cfg, pop)
+            assert seen == [1, 1, 1] and lib.get_threads() == 3
+            monkeypatch.setattr(sim, "run_trial", failing)
+            with pytest.raises(SimulationError, match="forced"):
+                run_simulation(cfg)
+            assert lib.get_threads() == 3
+        finally:
+            lib.set_threads(old)
+
+
 class TestExclusions:
     def test_infeasible_trials_fail_run_when_frequent(self, monkeypatch):
-        def always_infeasible(cfg, pop, rng, x):
+        def always_infeasible(cfg, pop, rng, x, helper):
             raise CalibrationInfeasibleError("forced")
 
         monkeypatch.setattr(sim, "run_trial", always_infeasible)
@@ -311,11 +430,11 @@ class TestExclusions:
         real = sim.run_trial
         calls = {"n": 0}
 
-        def sometimes(cfg, pop, rng, x):
+        def sometimes(cfg, pop, rng, x, helper):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise CalibrationInfeasibleError("forced once")
-            return real(cfg, pop, rng, x)
+            return real(cfg, pop, rng, x, helper)
 
         monkeypatch.setattr(sim, "run_trial", sometimes)
         res = run_simulation(m1_config(reps=4000, seed=2))
@@ -328,9 +447,9 @@ class TestExclusions:
         real = sim.run_trial
         reasons = []
 
-        def recording(cfg, pop, rng, x):
+        def recording(cfg, pop, rng, x, helper):
             try:
-                return real(cfg, pop, rng, x)
+                return real(cfg, pop, rng, x, helper)
             except CalibrationInfeasibleError as exc:
                 reasons.append(str(exc))
                 raise

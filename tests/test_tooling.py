@@ -8,6 +8,7 @@ fixture imports it too.  Two guards bound the memory the simulation's set-up
 and trials allocate, as traced by ``tracemalloc``.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pytest
 import eddr.calibration
 import eddr.cli
 import eddr.simulate
+import eddr.threads
 from eddr.calibration import CutoffRequest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -39,8 +41,21 @@ def _attributes():
     return {(owner, name): value for owner in owners for name, value in vars(owner).items()}
 
 
-def test_trace_wrappers_install_and_restore(perfbench_modules):
+def test_trace_wrappers_install_and_restore(perfbench_modules, monkeypatch):
+    # the tracer is single-threaded: the helper thread of a chunk with a
+    # group over BLOCK_ROWS rows must call none of the wrapped names
     sims, tracing, _ = perfbench_modules
+    monkeypatch.setattr(eddr.simulate, "cores", lambda: 2)
+    helpers = []
+    one_blas_thread = eddr.threads.one_blas_thread
+
+    @contextlib.contextmanager
+    def spy(helper):
+        with one_blas_thread(helper) as executor:
+            helpers.append(executor)
+            yield executor
+
+    monkeypatch.setattr(eddr.simulate, "one_blas_thread", spy)
     before = _attributes()
     tracer = tracing.Tracer()
     try:
@@ -52,9 +67,14 @@ def test_trace_wrappers_install_and_restore(perfbench_modules):
                                           request=request)
             pop = eddr.simulate.make_population(cfg)
             eddr.simulate.run_trial(cfg, pop, np.random.default_rng(1))
+        # p = 420 > N = 398: three and two row blocks and the split dual Gram matrix
+        cfg = eddr.simulate.SimConfig(p=420, n1=266, n2=132, rho=0.5, reps=2, seed=3,
+                                      request=CutoffRequest.m2_logit(0.2, 0.1))
+        eddr.simulate.run_simulation(cfg)
     finally:
         tracer.restore()
     assert _attributes() == before
+    assert helpers[-1] is not None or eddr.threads.openblas() is None
     names = {span.name for span in tracer.finished()}
     assert {"simulate.run_trial", "simulate.sample_group", "core.pooled_summary",
             "calibration.calibrate", "error_model.asymptotic_law",
