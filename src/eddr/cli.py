@@ -10,6 +10,9 @@ verify-moments  self-check of the closed-form Wishart moments
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
 infeasibility (including failed verification).
+
+estimate, calibrate and classify pin OpenBLAS to one thread (see
+eddr.threads), so their output bits do not depend on its thread count.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .simulate import (
     make_population,
     run_simulation,
 )
-from .threads import openblas
+from .threads import one_blas_thread, openblas
 from .verify import mc_moment_suite, scalar_reduction_suite
 
 EXIT_OK = 0
@@ -112,6 +115,7 @@ class UsageError(Exception):
 # estimate
 # ---------------------------------------------------------------------------
 
+@one_blas_thread(helper=False)
 def cmd_estimate(args) -> int:
     summary = _load_training(args)
     traces, deltas = estimate_all(summary)
@@ -145,6 +149,7 @@ def cmd_estimate(args) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
+@one_blas_thread(helper=False)
 def cmd_calibrate(args) -> int:
     request = _request_from_args(vars(args))
     summary = _load_training(args)
@@ -171,6 +176,7 @@ def cmd_calibrate(args) -> int:
 # classify
 # ---------------------------------------------------------------------------
 
+@one_blas_thread(helper=False)
 def cmd_classify(args) -> int:
     if args.cutoff is None:
         if args.method is None:

@@ -22,6 +22,7 @@ from eddr.calibration import CutoffRequest, calibrate
 from eddr.cli import main
 from eddr.core import discriminant_score, pooled_summary
 from eddr.dataio import format_table_value, read_matrix_csv
+from eddr.threads import openblas
 
 
 @pytest.fixture
@@ -335,6 +336,68 @@ class TestByteRanges:
         assert all(len(dataio._body_ranges(path, None)) == 4 for path in paths.values())
         assert several == one
         assert [len(out.splitlines()) for out in one] == [16, 11, 200, 0, 200]
+
+
+@pytest.mark.skipif(openblas() is None, reason="no OpenBLAS thread setter found")
+class TestThreads:
+    """estimate, calibrate and classify run on one BLAS thread and restore the count after."""
+
+    @staticmethod
+    def above_n_files(tmp_path):
+        # p = 1024 > N = 124: unpinned, a3, a4, delta2 and delta3 move in their last bits
+        rng = np.random.default_rng(1)
+        arrays = {"g1": rng.standard_normal((60, 1024)) + 0.2, "g2": rng.standard_normal((64, 1024)),
+                  "query": rng.standard_normal((4, 1024))}
+        for name, a in arrays.items():
+            (tmp_path / f"{name}.csv").write_text(_csv(a), encoding="utf-8")
+        return [str(tmp_path / f"{name}.csv") for name in arrays]
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        g1, g2, query = self.above_n_files(tmp_path)
+        commands = [
+            ["estimate", g1, g2],
+            ["calibrate", g1, g2, "--method", "m2-logit", "--eu", "0.2", "--beta", "0.1"],
+            ["classify", g1, g2, query, "--method", "m1", "--alpha", "0.1"],
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eddr.__file__)))
+        outputs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            outputs[threads] = []
+            for argv in commands:
+                proc = subprocess.run([sys.executable, "-m", "eddr.cli", *argv],
+                                      capture_output=True, env=env, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                outputs[threads].append(proc.stdout)
+        assert outputs["1"] == outputs["2"]
+
+    def test_blas_threads_pinned_and_restored(self, capsys, tmp_path, monkeypatch):
+        lib = openblas()
+        g1, g2, query = self.above_n_files(tmp_path)
+        seen = []
+        real = eddr.cli.pooled_summary
+
+        def spy(x1, x2):
+            seen.append(lib.get_threads())
+            return real(x1, x2)
+
+        monkeypatch.setattr(eddr.cli, "pooled_summary", spy)
+        old = lib.get_threads()
+        lib.set_threads(3)
+        try:
+            for argv, exit_code in (
+                (["estimate", g1, g2], 0),
+                (["calibrate", g1, g2, "--method", "m1", "--alpha", "0.1"], 0),
+                (["classify", g1, g2, query, "--cutoff", "0.0"], 0),
+                # the query is read after the training summary: the pinned block raises
+                (["classify", g1, g2, str(tmp_path / "missing.csv"), "--cutoff", "0.0"], 2),
+            ):
+                code, _, err = run_cli(capsys, *argv)
+                assert code == exit_code, err
+                assert lib.get_threads() == 3
+            assert seen == [1, 1, 1, 1]
+        finally:
+            lib.set_threads(old)
 
 
 class TestSimulate:

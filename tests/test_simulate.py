@@ -2,9 +2,11 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
-from dataclasses import fields, replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -251,6 +253,32 @@ class TestTrialMechanics:
             TrialRecord(cond_error=0.0, cutoff=1.0, fell_back=False)
         with pytest.raises(SimulationError):
             TrialRecord(cond_error=1.0, cutoff=1.0, fell_back=False)
+
+    def test_trial_record_is_slotted(self):
+        rec = TrialRecord(cond_error=0.125, cutoff=-3.5, fell_back=True)
+        assert TrialRecord.__slots__ == ("cond_error", "cutoff", "fell_back")
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            rec.cutoff = 0.0
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(rec, protocol=protocol))
+            assert back == rec and hash(back) == hash(rec)
+            assert (back.cond_error, back.cutoff, back.fell_back) == (0.125, -3.5, True)
+
+    def test_trial_records_are_small(self):
+        # a run keeps every record: with its two floats and its list slot a
+        # slotted record takes about 113 bytes, one with a __dict__ about 152
+        count = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = [TrialRecord(cond_error=(i + 0.5) / count, cutoff=-float(i),
+                                   fell_back=i % 2 == 0) for i in range(count)]
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(records) == count
+        assert allocated / count <= 125
 
     def test_m2_trial_runs(self, rng):
         cfg = m1_config(p=8, n1=12, n2=12, request=CutoffRequest.m2_logit(0.3, 0.1))
