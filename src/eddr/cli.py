@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import platform
 import sys
@@ -41,7 +42,7 @@ from .calibration import (
 from .core import PI1, PI2, classify, discriminant_score, pooled_summary  # noqa: F401
 from .dataio import format_table_value, read_matrix_csv, write_text_atomic
 from .error_model import limit_values
-from .estimators import estimate_all
+from .estimators import a1_from_traces, estimate_all
 from .exceptions import (
     CalibrationInfeasibleError,
     DataFormatError,
@@ -57,7 +58,7 @@ from .simulate import (
     make_population,
     run_simulation,
 )
-from .threads import one_blas_thread, openblas
+from .threads import cores, one_blas_thread, openblas
 from .verify import mc_moment_suite, scalar_reduction_suite
 
 EXIT_OK = 0
@@ -164,7 +165,7 @@ def cmd_calibrate(args) -> int:
         "fell_back": res.fell_back,
         "e0": request.alpha if request.variant == CutoffVariant.M1 else outcome.law.e0,
         "tau2": None if outcome.law is None else outcome.law.tau2,
-        "a1": float(summary.t1) / summary.p,
+        "a1": a1_from_traces(float(summary.t1), summary.p),
         "u0": outcome.limit.u0,
         "v0": outcome.limit.v0,
     }
@@ -378,6 +379,9 @@ def cmd_simulate(args) -> int:
                      "python": platform.python_version()},
         # unpinned, the bytes of large designs may depend on the BLAS thread count
         "blas": {"library": blas and os.path.basename(blas.path), "pinned": blas is not None},
+        # simulate runs unpinned here, so blas_threads is the count outside the pin
+        "environment": {"nproc": cores(), "start_method": multiprocessing.get_start_method(),
+                        "blas_threads": blas and blas.get_threads()},
     }
     write_text_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
     sys.stdout.write(csv_text)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 import statistics
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -240,17 +239,17 @@ def _as_observations(x) -> np.ndarray:
     return x
 
 
-def _dual_gram(c: np.ndarray, helper: Executor | None) -> np.ndarray:
-    """``c @ c.T`` from the row split at h = N // 2, the same bits with or without ``helper``.
+def _dual_gram(c: np.ndarray) -> np.ndarray:
+    """``c @ c.T`` from the row split at h = N // 2, the same bits with or without a helper.
 
     The caller forms the two diagonal blocks (symmetric rank updates) and
-    ``helper``, when given, the off-diagonal one; its transpose fills the
-    lower block.
+    the helper of :func:`eddr.threads.both`, if any, the off-diagonal one;
+    its transpose fills the lower block.
     """
     h = c.shape[0] // 2
     top, bottom = c[:h], c[h:]
     g = np.empty((c.shape[0], c.shape[0]))
-    both(helper, lambda: np.matmul(top, bottom.T, out=g[:h, h:]),
+    both(lambda: np.matmul(top, bottom.T, out=g[:h, h:]),
          lambda: (np.matmul(top, top.T, out=g[:h, :h]),
                   np.matmul(bottom, bottom.T, out=g[h:, h:])))
     g[h:, :h] = g[:h, h:].T
@@ -258,8 +257,7 @@ def _dual_gram(c: np.ndarray, helper: Executor | None) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None,
-                   _helper: Executor | None = None) -> TwoSampleSummary:
+def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSummary:
     """Column means of both groups and the power statistics of their pooled covariance.
 
     ``x1`` and ``x2`` hold one group each, a row per observation.  Each
@@ -281,15 +279,13 @@ def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None,
 
     When p > N, ``G`` is built from a fixed split of the N centred rows at
     N // 2: the two diagonal blocks and the off-diagonal one are three
-    separate products, the last mirrored.  The split does not depend on
-    the core count, so on one BLAS thread (see :mod:`eddr.threads`)
-    neither do the bits of ``G``.
+    separate products, the last mirrored and, inside a helper block of
+    :mod:`eddr.threads`, formed by the helper.  The split does not depend
+    on the core count, so on one BLAS thread neither do the bits of ``G``.
 
     ``_stacked``, private: an (n1 + n2) x p float array whose two row
     blocks are ``x1`` and ``x2``.  It is centred and scaled in place, and
-    so overwritten, instead of copied.  ``_helper``, private: a one-thread
-    executor (see :mod:`eddr.threads`) that forms the off-diagonal block
-    of ``G`` while the caller forms the diagonal ones.
+    so overwritten, instead of copied.
     """
     x1, x2 = _as_observations(x1), _as_observations(x2)
     n1, p = x1.shape
@@ -307,7 +303,7 @@ def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None,
         base = c.T @ c
         stats = _power_stats(base, d)
     else:
-        base = _dual_gram(c, _helper)
+        base = _dual_gram(c)
         t1, t2, q1, q2, q3, _ = _power_stats(base, c @ d)
         stats = (t1, t2, d @ d, q1, q2, q3)
     return TwoSampleSummary(n1, x2.shape[0], p, xbar1, xbar2, *stats, base)

@@ -46,21 +46,21 @@ worker count and any scheduling order.  A group of more than
 from the trial's generator and block k >= 1 from its k-th spawned child;
 a smaller group is one draw from the trial's generator.  Building a
 population and running a chunk of trials pin OpenBLAS to one thread
-(:func:`eddr.threads.one_blas_thread`), and one helper thread takes the
-freed core: it solves S-'s eigenvalues while the caller solves S+, and,
-in a chunk whose groups exceed ``BLOCK_ROWS`` rows, draws the odd blocks
-and forms the off-diagonal block of :func:`pooled_summary`'s dual Gram
-matrix.  These splits are fixed, so records are also bit-identical
-across BLAS thread counts and with the helper on or off.  Where no
-OpenBLAS thread setter is found, nothing is pinned and the bits of large
-designs may depend on the BLAS thread count.
+(:func:`eddr.threads.one_blas_thread`), and one helper thread of that
+block takes the freed core: it solves S-'s eigenvalues while the caller
+solves S+, and, in a chunk whose groups exceed ``BLOCK_ROWS`` rows,
+draws the odd blocks and forms the off-diagonal block of
+:func:`pooled_summary`'s dual Gram matrix.  These splits are fixed, so
+records are also bit-identical across BLAS thread counts and with the
+helper on or off.  Where no OpenBLAS thread setter is found, nothing is
+pinned and the bits of large designs may depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -221,17 +221,15 @@ class PopulationDesign:
         return self.mu1.shape[0]
 
     def sample_group(self, mu: np.ndarray, rows: int, rng: np.random.Generator,
-                     out: np.ndarray | None = None,
-                     helper: Executor | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None) -> np.ndarray:
         """``rows`` draws from N(mu, diag(sd^2)), written into ``out`` when given.
 
         The rows are drawn in blocks of :data:`BLOCK_ROWS`: block 0 from
         ``rng`` and block k >= 1 from ``rng``'s k-th spawned child, so a
         group of at most ``BLOCK_ROWS`` rows is exactly
-        ``rng.standard_normal((rows, p)) * sd + mu``.  ``helper``, a
-        one-thread executor (see :mod:`eddr.threads`), draws the odd
-        blocks while the caller draws the even ones; the bits are the same
-        without it.
+        ``rng.standard_normal((rows, p)) * sd + mu``.  Inside a helper
+        block of :mod:`eddr.threads`, the helper draws the odd blocks while
+        the caller draws the even ones; the bits are the same without it.
         """
         if out is None:
             out = np.empty((rows, self.p))
@@ -245,7 +243,7 @@ class PopulationDesign:
             for block_rng, z in part:
                 _draw(block_rng, z, self.sd, mu)
 
-        both(helper, lambda: draw(blocks[1::2]), lambda: draw(blocks[::2]))
+        both(lambda: draw(blocks[1::2]), lambda: draw(blocks[::2]))
         return out
 
 
@@ -279,8 +277,8 @@ def make_population(cfg: SimConfig) -> PopulationDesign:
     if not first[1:].any():
         return PopulationDesign(mu1=np.full(p, scale), mu2=np.zeros(p), sd=np.ones(p))
     s_plus, s_minus = _centrosymmetric_blocks(first)
-    with one_blas_thread(helper=cores() > 1) as helper:
-        lam_minus, (lam_plus, x) = both(helper, lambda: np.linalg.eigvalsh(s_minus),
+    with one_blas_thread(helper=cores() > 1):
+        lam_minus, (lam_plus, x) = both(lambda: np.linalg.eigvalsh(s_minus),
                                         lambda: np.linalg.eigh(s_plus))
     lam = np.concatenate([lam_plus, lam_minus])
     if not lam.min() > 0.0:
@@ -323,22 +321,21 @@ def conditional_error(err: ErrorInputs, c: float) -> float:
 
 
 def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator,
-              x: np.ndarray | None = None, helper: Executor | None = None) -> TrialRecord:
+              x: np.ndarray | None = None) -> TrialRecord:
     """One full trial: sample, calibrate, and evaluate the conditional error.
 
     ``x`` is an (n1 + n2) x p work matrix that the trial overwrites: its
     row blocks receive the two groups' draws, which are then centred in
-    place.  :func:`_run_chunk` passes one matrix to all of its trials, and
-    its helper thread, if it started one, which does not change the record.
+    place.  :func:`_run_chunk` passes one matrix to all of its trials.
 
     Raises :class:`CalibrationInfeasibleError` when the drawn data do not
     admit the requested cut-off; the driver counts such trials separately.
     """
     if x is None:
         x = np.empty((cfg.n1 + cfg.n2, cfg.p))
-    x1 = pop.sample_group(pop.mu1, cfg.n1, rng, out=x[:cfg.n1], helper=helper)
-    x2 = pop.sample_group(pop.mu2, cfg.n2, rng, out=x[cfg.n1:], helper=helper)
-    summary = pooled_summary(x1, x2, _stacked=x, _helper=helper)
+    x1 = pop.sample_group(pop.mu1, cfg.n1, rng, out=x[:cfg.n1])
+    x2 = pop.sample_group(pop.mu2, cfg.n2, rng, out=x[cfg.n1:])
+    summary = pooled_summary(x1, x2, _stacked=x)
     res = calibrate(summary, cfg.request).result
     ce = conditional_error(error_inputs(summary, pop), res.c)
     # an extreme trial can underflow the error probability to 0.0 or 1.0 in
@@ -368,10 +365,10 @@ def _run_chunk(cfg: SimConfig, pop: PopulationDesign, start: int, stop: int,
     x = np.empty((cfg.n1 + cfg.n2, cfg.p))
     helps = max(cfg.n1, cfg.n2) > BLOCK_ROWS and cores() >= 2 * processes
     out = []
-    with one_blas_thread(helper=helps) as helper:
+    with one_blas_thread(helper=helps):
         for i in range(start, stop):
             try:
-                out.append(run_trial(cfg, pop, _trial_rng(cfg.seed, i), x, helper))
+                out.append(run_trial(cfg, pop, _trial_rng(cfg.seed, i), x))
             except CalibrationInfeasibleError:
                 out.append(None)
     return out
@@ -393,19 +390,22 @@ class SimResult:
 def run_simulation(cfg: SimConfig, pop: PopulationDesign | None = None) -> SimResult:
     """Run ``cfg.reps`` independent trials, optionally across processes.
 
+    At most one process per core this process may use runs: more would
+    only share the cores, and the records do not depend on the count.
     Fails with :class:`SimulationError` if more than 0.1% of the trials
     had to be excluded for calibration infeasibility.
     """
     if pop is None:
         pop = make_population(cfg)
-    if cfg.workers == 1 or cfg.reps < 4 * cfg.workers:
+    workers = min(cfg.workers, cores())
+    if workers == 1 or cfg.reps < 4 * workers:
         raw = _run_chunk(cfg, pop, 0, cfg.reps)
     else:
-        chunk = max(1, math.ceil(cfg.reps / (cfg.workers * 8)))
+        chunk = max(1, math.ceil(cfg.reps / (workers * 8)))
         bounds = [(s, min(s + chunk, cfg.reps)) for s in range(0, cfg.reps, chunk)]
         raw = []
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            tasks = [(cfg, pop, a, b, cfg.workers) for a, b in bounds]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            tasks = [(cfg, pop, a, b, workers) for a, b in bounds]
             for part in pool.map(_run_chunk, *zip(*tasks)):
                 raw.extend(part)
     records = tuple(r for r in raw if r is not None)

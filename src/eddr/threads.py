@@ -13,17 +13,18 @@ nothing is pinned, no helper starts, and results may depend on the BLAS
 thread count.
 
 While pinned, the core that OpenBLAS would have used goes to one helper
-thread.  Work reaches it only through :func:`both`, in fixed splits
-that compute the same bits whether or not the helper ran; the helper
-calls numpy and nothing else of this package.
+thread of the pinning block.  Work reaches it only through :func:`both`,
+in fixed splits that compute the same bits whether or not it ran; the
+helper calls numpy and nothing else of this package.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -34,6 +35,8 @@ _THREAD_FUNCTIONS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+_owned = threading.local()  # .helper: the executor of this thread's innermost block
 
 
 def cores() -> int:
@@ -78,33 +81,34 @@ def openblas() -> OpenBLAS | None:
 def one_blas_thread(helper: bool) -> Iterator[Executor | None]:
     """Pin OpenBLAS to one thread for the ``with`` block, then restore its count.
 
-    Yields a one-thread executor for :func:`both` when ``helper`` is true
-    and the pin took effect, else None.  The executor is shut down, and
-    the count restored, also when the block raises.  No helper outlives
-    the block, so a process forked outside one inherits none.
+    With ``helper`` true and the pin in effect, a one-thread executor,
+    which the block yields, serves :func:`both` on this thread; else the
+    block yields None and hides any outer helper.  On exit, also on an
+    error, the executor is shut down and the outer helper and count
+    restored, so a process forked outside a block inherits no helper.
     """
     lib = openblas()
     if lib is None:
         yield None
         return
-    old = lib.get_threads()
+    old, outer = lib.get_threads(), getattr(_owned, "helper", None)
     lib.set_threads(1)
     try:
-        if helper:
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                yield pool
-        else:
-            yield None
+        with ThreadPoolExecutor(max_workers=1) if helper else nullcontext() as pool:
+            _owned.helper = pool
+            yield pool
     finally:
+        _owned.helper = outer
         lib.set_threads(old)
 
 
-def both(helper: Executor | None, side: Callable, here: Callable) -> tuple:
-    """``(side(), here())``, with ``side`` on ``helper`` while ``here`` runs in this thread.
+def both(side: Callable, here: Callable) -> tuple:
+    """``(side(), here())``, with ``side`` on this thread's helper while ``here`` runs here.
 
-    Without a helper both run here, ``side`` first.  Both have finished
-    when this returns or raises.
+    Without a helper, as on the helper thread itself, both run here,
+    ``side`` first.  Both have finished when this returns or raises.
     """
+    helper = getattr(_owned, "helper", None)
     if helper is None:
         return side(), here()
     pending = helper.submit(side)

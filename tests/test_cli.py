@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ from eddr.calibration import CutoffRequest, calibrate
 from eddr.cli import main
 from eddr.core import discriminant_score, pooled_summary
 from eddr.dataio import format_table_value, read_matrix_csv
-from eddr.threads import openblas
+from eddr.threads import cores, openblas
 
 
 @pytest.fixture
@@ -429,17 +430,29 @@ class TestSimulate:
         assert manifest["outputs"] == [prefix + ".csv", prefix + ".json"]
 
     def test_manifest_shape(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "simulate", "--n-grid", "6", "--p-grid", "2", "--reps", "5",
-            "--seed", "3", "--method", "m1", "--alpha", "0.3", "--out", str(tmp_path / "m"),
-        )
+        # the OpenBLAS thread count is the one outside the pin: 3 here
+        lib = openblas()
+        old = lib and lib.get_threads()
+        if lib:
+            lib.set_threads(3)
+        try:
+            code, _, err = run_cli(
+                capsys, "simulate", "--n-grid", "6", "--p-grid", "2", "--reps", "5",
+                "--seed", "3", "--method", "m1", "--alpha", "0.3", "--out", str(tmp_path / "m"),
+            )
+        finally:
+            if lib:
+                lib.set_threads(old)
         assert code == 0, err
         manifest = json.loads((tmp_path / "m.manifest.json").read_text())
         assert list(manifest) == ["command", "config", "seed", "outputs",
-                                  "started", "finished", "versions", "blas"]
+                                  "started", "finished", "versions", "blas", "environment"]
         assert list(manifest["versions"]) == ["eddr", "numpy", "python"]
         assert manifest["versions"]["eddr"] == eddr.__version__
         assert list(manifest["blas"]) == ["library", "pinned"]
+        assert manifest["environment"] == {
+            "nproc": cores(), "start_method": multiprocessing.get_start_method(),
+            "blas_threads": 3 if lib else None}
         started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started", "finished"))
         assert started <= finished
 

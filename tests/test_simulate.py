@@ -1,10 +1,12 @@
 """Simulation harness: design construction, trials, determinism, aggregates."""
 
+import contextlib
 import math
 import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -16,7 +18,7 @@ from eddr.calibration import CutoffRequest
 from eddr.core import Dims, cholesky, pooled_summary
 from eddr.error_model import LimitParams, limit_values
 from eddr.estimators import estimate_all, estimate_low
-from eddr.threads import one_blas_thread, openblas
+from eddr.threads import both, one_blas_thread, openblas
 from eddr.exceptions import (
     CalibrationInfeasibleError,
     DimensionError,
@@ -303,6 +305,34 @@ class TestDeterminism:
         assert r1.records == r2.records
         assert r1.n_excluded == r2.n_excluded
 
+    def test_pool_is_capped_at_the_cores(self, monkeypatch):
+        # 64 workers on 3 cores: a pool of 3, each chunk told of 3
+        # processes, and the records of one worker
+        seen = {"max_workers": [], "processes": set()}
+
+        class InlinePool:  # starts no process
+            def __init__(self, max_workers):
+                seen["max_workers"].append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *columns):
+                seen["processes"].update(columns[-1])
+                return map(fn, *columns)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sim, "cores", lambda: 3)
+        cfg = m1_config(reps=64, seed=5)
+        one = run_simulation(cfg)
+        many = run_simulation(replace(cfg, workers=64))
+        assert seen == {"max_workers": [3], "processes": {3}}
+        assert record_bytes(many) == record_bytes(one)
+        assert many.n_excluded == one.n_excluded
+
     def test_worker_count_invariance_above_n(self):
         # p = 256 > N = 32: the Gram products run where BLAS may use threads
         cfg = m1_config(p=256, n1=16, n2=16, rho=0.5, reps=32, seed=5)
@@ -383,20 +413,52 @@ class TestThreads:
         cfg = m1_config(p=420, n1=2 * BLOCK_ROWS + 10, n2=BLOCK_ROWS + 4, rho=0.5, reps=4)
         pop = make_population(cfg)
         helpers = []
-        real = sim.run_trial
 
-        def spy(cfg, pop, rng, x, helper):
-            helpers.append(helper is not None)
-            return real(cfg, pop, rng, x, helper)
+        @contextlib.contextmanager
+        def spy(helper):
+            with one_blas_thread(helper) as executor:
+                helpers.append(executor is not None)
+                yield executor
 
-        monkeypatch.setattr(sim, "run_trial", spy)
+        monkeypatch.setattr(sim, "one_blas_thread", spy)
         monkeypatch.setattr(sim, "cores", lambda: 1)
         off = run_simulation(cfg, pop)
         monkeypatch.setattr(sim, "cores", lambda: 2)
         on = run_simulation(cfg, pop)
         assert record_bytes(off) == record_bytes(on)
-        assert not any(helpers[:4])
-        assert all(helpers[4:]) or openblas() is None
+        assert helpers == [False, openblas() is not None]
+
+    @needs_openblas
+    def test_both_on_the_helper_thread_runs_inline(self):
+        # the helper's own both() must not queue behind itself on its one-worker pool
+        me = threading.get_ident
+        with one_blas_thread(helper=True) as pool:
+            on_helper = pool.submit(both, me, me).result()
+            here = both(me, me)
+        assert on_helper[0] == on_helper[1] != me()
+        assert here[0] != here[1] == me()
+
+    @needs_openblas
+    def test_block_without_helper_hides_the_outer_one(self):
+        lib = openblas()
+        me = threading.get_ident
+        other = []
+        with one_blas_thread(helper=True):
+            with one_blas_thread(helper=False) as inner:
+                assert inner is None
+                assert both(me, me) == (me(), me())
+            assert both(me, me)[0] != me() and lib.get_threads() == 1
+            with pytest.raises(SimulationError, match="forced"):
+                with one_blas_thread(helper=False):
+                    assert both(me, me) == (me(), me())
+                    raise SimulationError("forced")
+            assert both(me, me)[0] != me() and lib.get_threads() == 1
+            # another thread does not see this thread's helper
+            thread = threading.Thread(target=lambda: other.append(both(me, me)))
+            thread.start()
+            thread.join()
+        assert other[0][0] == other[0][1] != me()
+        assert both(me, me) == (me(), me())
 
     @needs_openblas
     def test_records_do_not_depend_on_blas_threads(self):
@@ -419,11 +481,11 @@ class TestThreads:
         seen = []
         real = sim.run_trial
 
-        def spy(cfg, pop, rng, x, helper):
+        def spy(cfg, pop, rng, x):
             seen.append(lib.get_threads())
-            return real(cfg, pop, rng, x, helper)
+            return real(cfg, pop, rng, x)
 
-        def failing(cfg, pop, rng, x, helper):
+        def failing(cfg, pop, rng, x):
             raise SimulationError("forced")
 
         cfg = m1_config(p=64, n1=BLOCK_ROWS + 1, n2=4, rho=0.5, reps=3)
@@ -447,7 +509,7 @@ class TestThreads:
 
 class TestExclusions:
     def test_infeasible_trials_fail_run_when_frequent(self, monkeypatch):
-        def always_infeasible(cfg, pop, rng, x, helper):
+        def always_infeasible(cfg, pop, rng, x):
             raise CalibrationInfeasibleError("forced")
 
         monkeypatch.setattr(sim, "run_trial", always_infeasible)
@@ -458,11 +520,11 @@ class TestExclusions:
         real = sim.run_trial
         calls = {"n": 0}
 
-        def sometimes(cfg, pop, rng, x, helper):
+        def sometimes(cfg, pop, rng, x):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise CalibrationInfeasibleError("forced once")
-            return real(cfg, pop, rng, x, helper)
+            return real(cfg, pop, rng, x)
 
         monkeypatch.setattr(sim, "run_trial", sometimes)
         res = run_simulation(m1_config(reps=4000, seed=2))
@@ -475,9 +537,9 @@ class TestExclusions:
         real = sim.run_trial
         reasons = []
 
-        def recording(cfg, pop, rng, x, helper):
+        def recording(cfg, pop, rng, x):
             try:
-                return real(cfg, pop, rng, x, helper)
+                return real(cfg, pop, rng, x)
             except CalibrationInfeasibleError as exc:
                 reasons.append(str(exc))
                 raise
