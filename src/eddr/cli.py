@@ -56,6 +56,7 @@ from .simulate import (
     attained_confidence_level,
     attained_error_rate,
     make_population,
+    pool_size,
     run_simulation,
 )
 from .threads import cores, one_blas_thread, openblas
@@ -379,8 +380,11 @@ def cmd_simulate(args) -> int:
                      "python": platform.python_version()},
         # unpinned, the bytes of large designs may depend on the BLAS thread count
         "blas": {"library": blas and os.path.basename(blas.path), "pinned": blas is not None},
-        # simulate runs unpinned here, so blas_threads is the count outside the pin
-        "environment": {"nproc": cores(), "start_method": multiprocessing.get_start_method(),
+        # simulate runs unpinned here, so blas_threads is the count outside the
+        # pin; the default start method is read without fixing it for the process
+        "environment": {"nproc": cores(), "pool_size": pool_size(workers),
+                        "start_method": (multiprocessing.get_start_method(allow_none=True)
+                                         or multiprocessing.get_all_start_methods()[0]),
                         "blas_threads": blas and blas.get_threads()},
     }
     write_text_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")

@@ -387,17 +387,23 @@ class SimResult:
         return sum(1 for r in self.records if r.fell_back)
 
 
-def run_simulation(cfg: SimConfig, pop: PopulationDesign | None = None) -> SimResult:
-    """Run ``cfg.reps`` independent trials, optionally across processes.
+def pool_size(workers: int) -> int:
+    """Most processes a run asked for ``workers`` starts: one per core this
+    process may use. More only share the cores, and the records do not
+    depend on the count."""
+    return min(workers, cores())
 
-    At most one process per core this process may use runs: more would
-    only share the cores, and the records do not depend on the count.
+
+def run_simulation(cfg: SimConfig, pop: PopulationDesign | None = None) -> SimResult:
+    """Run ``cfg.reps`` independent trials, optionally across
+    :func:`pool_size` processes.
+
     Fails with :class:`SimulationError` if more than 0.1% of the trials
     had to be excluded for calibration infeasibility.
     """
     if pop is None:
         pop = make_population(cfg)
-    workers = min(cfg.workers, cores())
+    workers = pool_size(cfg.workers)
     if workers == 1 or cfg.reps < 4 * workers:
         raw = _run_chunk(cfg, pop, 0, cfg.reps)
     else:

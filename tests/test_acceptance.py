@@ -297,7 +297,7 @@ def test_criterion_09_error_law_at_fixed_cutoff():
     report(9, ok, "; ".join(msgs))
 
 
-def test_criterion_10_simulate_outputs_independent_of_worker_count(tmp_path, capsys):
+def test_criterion_10_simulate_outputs_independent_of_worker_count(tmp_path, capsys, two_cores):
     from eddr.cli import main
 
     args = ["simulate", "--n-grid", "32", "--p-grid", "8,16", "--reps", "400",
@@ -305,6 +305,7 @@ def test_criterion_10_simulate_outputs_independent_of_worker_count(tmp_path, cap
     assert main(args + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
     assert main(args + ["--workers", "2", "--out", str(tmp_path / "w2")]) == 0
     capsys.readouterr()
+    assert two_cores == [2, 2]  # one pool per cell of the workers=2 run
     same_csv = (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
     same_json = (tmp_path / "w1.json").read_bytes() == (tmp_path / "w2.json").read_bytes()
     report(10, same_csv and same_json,

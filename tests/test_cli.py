@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eddr
+import eddr.simulate
 from eddr import dataio
 from eddr.calibration import CutoffRequest, calibrate
 from eddr.cli import main
@@ -433,6 +434,7 @@ class TestSimulate:
         # the OpenBLAS thread count is the one outside the pin: 3 here
         lib = openblas()
         old = lib and lib.get_threads()
+        start_method = multiprocessing.get_start_method(allow_none=True)
         if lib:
             lib.set_threads(3)
         try:
@@ -451,8 +453,11 @@ class TestSimulate:
         assert manifest["versions"]["eddr"] == eddr.__version__
         assert list(manifest["blas"]) == ["library", "pinned"]
         assert manifest["environment"] == {
-            "nproc": cores(), "start_method": multiprocessing.get_start_method(),
+            "nproc": cores(), "pool_size": 1,
+            "start_method": start_method or multiprocessing.get_all_start_methods()[0],
             "blas_threads": 3 if lib else None}
+        # writing the manifest leaves the start method as unset as it found it
+        assert multiprocessing.get_start_method(allow_none=True) == start_method
         started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started", "finished"))
         assert started <= finished
 
@@ -644,6 +649,19 @@ class TestSimulate:
         assert code == 0
         manifest = json.loads((tmp_path / "env.manifest.json").read_text())
         assert manifest["config"]["resolved_workers"] == 2
+
+    def test_manifest_records_the_capped_pool(self, capsys, tmp_path, monkeypatch):
+        # 64 workers asked for on 3 cores: a run starts at most 3 processes
+        monkeypatch.setattr(eddr.simulate, "cores", lambda: 3)
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "6", "--p-grid", "2", "--reps", "5",
+            "--seed", "3", "--method", "m1", "--alpha", "0.3", "--workers", "64",
+            "--out", str(tmp_path / "cap"),
+        )
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "cap.manifest.json").read_text())
+        assert manifest["config"]["resolved_workers"] == 64
+        assert manifest["environment"]["pool_size"] == 3
 
     @pytest.mark.parametrize("value", ["two", "0", "-1"])
     def test_bad_worker_count_in_environment_named(self, capsys, tmp_path, monkeypatch, value):

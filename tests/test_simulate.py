@@ -297,11 +297,12 @@ class TestDeterminism:
         r2 = run_simulation(cfg)
         assert r1.records == r2.records
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, two_cores):
         cfg1 = m1_config(reps=64, seed=5, workers=1)
         cfg2 = m1_config(reps=64, seed=5, workers=2)
         r1 = run_simulation(cfg1)
         r2 = run_simulation(cfg2)
+        assert two_cores == [2]  # the records crossed processes
         assert r1.records == r2.records
         assert r1.n_excluded == r2.n_excluded
 
@@ -333,11 +334,12 @@ class TestDeterminism:
         assert record_bytes(many) == record_bytes(one)
         assert many.n_excluded == one.n_excluded
 
-    def test_worker_count_invariance_above_n(self):
+    def test_worker_count_invariance_above_n(self, two_cores):
         # p = 256 > N = 32: the Gram products run where BLAS may use threads
         cfg = m1_config(p=256, n1=16, n2=16, rho=0.5, reps=32, seed=5)
         r1 = run_simulation(replace(cfg, workers=1))
         r2 = run_simulation(replace(cfg, workers=2))
+        assert two_cores == [2]
         assert record_bytes(r1) == record_bytes(r2)
         assert r1.n_excluded == r2.n_excluded
 
