@@ -29,7 +29,6 @@ from .error_model import (
     LimitParams,
     asymptotic_law,
     estimator_covariance,
-    expected_error,
     limit_values,
 )
 from .estimators import estimate_all, estimate_low
@@ -267,7 +266,6 @@ __all__ = [
     "gamma_logit",
     "m2_cutoff",
     "calibrate",
-    "expected_error",
     "M2_ANCHORS",
     "DEFAULT_M2_ANCHOR",
     "LOGIT_VARIANCE_CONVENTIONS",

@@ -83,8 +83,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_training(args) -> tuple:
-    x1 = read_matrix_csv(args.train1, skip_header=args.skip_header or None)
-    x2 = read_matrix_csv(args.train2, skip_header=args.skip_header or None)
+    x1 = read_matrix_csv(args.train1, skip_header=args.skip_header)
+    x2 = read_matrix_csv(args.train2, skip_header=args.skip_header)
     return pooled_summary(x1, x2)
 
 
@@ -141,7 +141,7 @@ def cmd_estimate(args) -> int:
     if args.format == "csv":
         keys = list(values)
         print(",".join(keys))
-        print(",".join(repr(values[k]) if isinstance(values[k], float) else str(values[k]) for k in keys))
+        print(",".join(str(values[k]) for k in keys))
     else:
         print(json.dumps(values, indent=2))
     return EXIT_OK
@@ -189,7 +189,7 @@ def cmd_classify(args) -> int:
     if args.out:
         _require_out_dir(args.out, args.out)
     summary = _load_training(args)
-    query = read_matrix_csv(args.query, skip_header=args.skip_header or None)
+    query = read_matrix_csv(args.query, skip_header=args.skip_header)
     if args.cutoff is not None:
         c = args.cutoff
     else:
@@ -234,33 +234,40 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+#: Each ``simulate`` setting, one per flag and config key: its type and its
+#: default, None where it has none.  The manifest records the M2 knobs'
+#: values, also for m1.
 _SIM_KEYS = {
-    "n_grid": str, "p_grid": str, "n1": int, "n2": int, "rho": float,
-    "bandwidth": int, "reps": int, "seed": int, "method": str, "alpha": float,
-    "eu": float, "beta": float, "workers": int, "logit_variance": str,
-    "anchor": str, "out": str,
+    "n_grid": (str, None), "p_grid": (str, None), "n1": (int, None),
+    "n2": (int, None), "rho": (float, 0.0), "bandwidth": (int, SimConfig.bandwidth),
+    "reps": (int, 20000), "seed": (int, None), "method": (str, None),
+    "alpha": (float, None), "eu": (float, None), "beta": (float, None),
+    "workers": (int, None), "logit_variance": (str, DEFAULT_LOGIT_VARIANCE),
+    "anchor": (str, DEFAULT_M2_ANCHOR), "out": (str, "simulation"),
 }
 
 
 def _resolve_sim_settings(args) -> dict:
-    settings = {}
+    """The defaults, overridden by the config file, overridden by the flags."""
+    settings = {key: default for key, (_, default) in _SIM_KEYS.items() if default is not None}
     if args.config:
         raw = _parse_config_file(args.config)
         for key, value in raw.items():
             if key not in _SIM_KEYS:
                 raise DataFormatError(f"{args.config}: unknown key {key!r}")
+            kind = _SIM_KEYS[key][0]
             try:
-                settings[key] = _SIM_KEYS[key](value)
+                settings[key] = kind(value)
             except ValueError:
                 raise UsageError(f"{args.config}: {key} must be of type "
-                                 f"{_SIM_KEYS[key].__name__}, got {value!r}") from None
+                                 f"{kind.__name__}, got {value!r}") from None
             if key in _CHOICES and settings[key] not in _CHOICES[key]:
                 raise UsageError(
                     f"{args.config}: {key} must be one of {', '.join(_CHOICES[key])}, "
                     f"got {value!r}"
                 )
     for key in _SIM_KEYS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
     return settings
@@ -290,10 +297,6 @@ def _env_workers() -> int:
 
 def cmd_simulate(args) -> int:
     settings = _resolve_sim_settings(args)
-    settings.setdefault("reps", 20000)  # desk-scale default
-    # the manifest records the M2 knobs' values, also for m1
-    settings.setdefault("anchor", DEFAULT_M2_ANCHOR)
-    settings.setdefault("logit_variance", DEFAULT_LOGIT_VARIANCE)
     for required in ("seed", "method"):
         if required not in settings:
             raise UsageError(f"simulate needs --{required.replace('_', '-')}")
@@ -315,14 +318,12 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate needs --p-grid")
     p_values = _int_list(settings["p_grid"], "--p-grid")
 
-    rho = settings.get("rho", 0.0)
-    bandwidth = settings.get("bandwidth", SimConfig.bandwidth)
     workers = settings["workers"] if "workers" in settings else _env_workers()
-    out_prefix = settings.get("out", "simulation")
+    out_prefix = settings["out"]
     # every cell is validated before the first one runs
     configs = [
         SimConfig(
-            p=p, n1=n1, n2=n2, rho=rho, bandwidth=bandwidth,
+            p=p, n1=n1, n2=n2, rho=settings["rho"], bandwidth=settings["bandwidth"],
             reps=settings["reps"], seed=settings["seed"], request=request,
             workers=workers,
         )
@@ -402,8 +403,8 @@ def cmd_verify_moments(args) -> int:
             raise UsageError(f"--n-max must be at least 1, got {args.n_max}")
         rows = scalar_reduction_suite(n_max=args.n_max)
     else:
-        if args.p < 1 or args.n < args.p:
-            raise UsageError("mc suite needs --p >= 1 and --n >= p")
+        if args.p < 1:
+            raise UsageError(f"--p must be at least 1, got {args.p}")
         if args.draws < 2:
             raise UsageError(f"--draws must be at least 2, got {args.draws}")
         rows = mc_moment_suite(p=args.p, n=args.n, draws=args.draws, seed=args.seed)
@@ -422,7 +423,8 @@ def cmd_verify_moments(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_io_flags(sub):
-    sub.add_argument("--skip-header", action="store_true",
+    # absent, the reader decides: a first row that is not all numbers is a header
+    sub.add_argument("--skip-header", action="store_const", const=True,
                      help="treat the first row of every CSV as a header")
 
 

@@ -19,8 +19,7 @@ unchanged when the data, the means and Sigma are rotated together by W',
 so a trial drawn from N(W'mu_k, Lambda) has exactly the law of one drawn
 from N(mu_k, Sigma).  Sampling is then a per-coordinate scaling, O(Np),
 and V = sum_i lambda_i d_i^2 costs O(p); the population is three
-p-vectors.  A given seed's output therefore differs from versions that
-sampled through a Cholesky factor of Sigma, though its law does not.
+p-vectors.
 
 The banded Sigma is symmetric Toeplitz, hence centrosymmetric, and its
 eigenproblem splits into a symmetric and an antisymmetric half of size
@@ -28,9 +27,8 @@ about p/2 each.  :func:`make_population` solves those two and never
 forms a p x p matrix: the eigenvalues cost about a quarter of a full
 ``eigh``, and only the symmetric half, which holds the direction 1 of
 mu1, needs eigenvectors.  mu1 is zero on the antisymmetric half and
-signed to be nonnegative on the other.  Banded designs changed their
-output bytes once with this construction; a diagonal Sigma (rho = 0 or
-bandwidth 0) needs no solver and keeps its bytes.
+signed to be nonnegative on the other.  A diagonal Sigma (rho = 0 or
+bandwidth 0) needs no solver.
 
 Each chunk of trials draws into one resident (n1 + n2) x p work matrix,
 which :func:`pooled_summary` centres in place.
@@ -168,7 +166,7 @@ def _band_row(p: int, rho: float, bandwidth: int) -> np.ndarray:
     return first
 
 
-def band_sigma(p: int, rho: float, bandwidth: int = 50) -> np.ndarray:
+def band_sigma(p: int, rho: float, bandwidth: int = SimConfig.bandwidth) -> np.ndarray:
     """Correlation matrix with entries rho^|i-j| inside the band, 0 outside.
 
     Unit diagonal by construction; positive definiteness is verified by a
@@ -378,7 +376,6 @@ def _run_chunk(cfg: SimConfig, pop: PopulationDesign, start: int, stop: int,
 class SimResult:
     """Feasible trial records (in trial order) plus exclusion accounting."""
 
-    config: SimConfig
     records: tuple
     n_excluded: int
 
@@ -421,7 +418,7 @@ def run_simulation(cfg: SimConfig, pop: PopulationDesign | None = None) -> SimRe
             f"{n_excluded} of {cfg.reps} trials were calibration-infeasible "
             f"(> {MAX_EXCLUDED_FRACTION:.1%} allowed)"
         )
-    return SimResult(config=cfg, records=records, n_excluded=n_excluded)
+    return SimResult(records=records, n_excluded=n_excluded)
 
 
 def _errors(records: Sequence[TrialRecord]) -> np.ndarray:

@@ -31,6 +31,10 @@ from .wishart import (
 )
 
 
+#: Draws per Wishart batch of the mc suite.
+_BATCH = 20_000
+
+
 class VerifyRow(NamedTuple):
     name: str
     passed: bool
@@ -44,7 +48,7 @@ def _unit_invariants() -> TraceInvariants:
                            sa=(one,) * 6, sb=(one,) * 6, m=m)
 
 
-def scalar_reduction_suite(n_max: int = 20) -> list[VerifyRow]:
+def scalar_reduction_suite(n_max: int) -> list[VerifyRow]:
     """Integer-exact p = 1 reduction of all seven moments for n = 1..n_max."""
     inv = _unit_invariants()
     rows = []
@@ -88,12 +92,7 @@ def _wishart_statistics(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
 
 
 def mc_moment_suite(
-    p: int = 3,
-    n: int = 10,
-    draws: int = 1_000_000,
-    seed: int = 20240901,
-    batch: int = 20_000,
-    se_multiple: float = 5.0,
+    p: int, n: int, draws: int, seed: int, se_multiple: float = 5.0,
 ) -> list[VerifyRow]:
     """All seven Wishart moments and both quadratic-form moments vs Monte Carlo."""
     rng = np.random.default_rng(seed)
@@ -109,7 +108,7 @@ def mc_moment_suite(
         sq[k] = 0.0
     done = 0
     while done < draws:
-        m = min(batch, draws - done)
+        m = min(_BATCH, draws - done)
         w = _sample_wishart_batch(q.n, chol_l, rng, m)
         stats = _wishart_statistics(w, q.a, q.b)
         x = rng.standard_normal((m, p))

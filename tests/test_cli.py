@@ -21,7 +21,7 @@ import eddr
 import eddr.simulate
 from eddr import dataio
 from eddr.calibration import CutoffRequest, calibrate
-from eddr.cli import main
+from eddr.cli import _SIM_KEYS, build_parser, main
 from eddr.core import discriminant_score, pooled_summary
 from eddr.dataio import format_table_value, read_matrix_csv
 from eddr.threads import cores, openblas
@@ -720,6 +720,23 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "dflt.manifest.json").read_text())
         assert manifest["config"]["reps"] == 20000
 
+    def test_manifest_records_the_defaults(self, capsys, tmp_path, monkeypatch):
+        # no --rho, --bandwidth or --out: the manifest still says which design ran, and where
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-grid", "6", "--p-grid", "2", "--reps", "5",
+            "--seed", "3", "--method", "m1", "--alpha", "0.3",
+        )
+        assert code == 0, err
+        config = json.loads((tmp_path / "simulation.manifest.json").read_text())["config"]
+        assert (config["rho"], config["bandwidth"], config["out"]) == (0.0, 50, "simulation")
+        assert (tmp_path / "simulation.csv").exists()
+
+    def test_every_flag_is_a_setting(self):
+        # _resolve_sim_settings reads the flags through the settings table
+        dests = set(vars(build_parser().parse_args(["simulate"])))
+        assert dests - {"func", "command", "config"} == set(_SIM_KEYS)
+
 
 class TestVerifyMoments:
     def test_exact_suite(self, capsys):
@@ -739,6 +756,18 @@ class TestVerifyMoments:
     def test_bad_p_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify-moments", "--suite", "mc", "--p", "0")
         assert code == 1
+
+    def test_mc_suite_takes_p_above_n(self, capsys):
+        # the paper's regime: the Wishart draw has rank n < p
+        code, out, err = run_cli(capsys, "verify-moments", "--suite", "mc", "--p", "3",
+                                 "--n", "2", "--draws", "40000")
+        assert code == 0, err
+        assert out.count("PASS") == 9
+
+    def test_mc_suite_needs_a_degree_of_freedom(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-moments", "--suite", "mc", "--n", "0")
+        assert code == 1
+        assert out == ""
 
     @pytest.mark.parametrize("draws", ["1", "0"])
     def test_too_few_draws_usage_error(self, capsys, monkeypatch, draws):
