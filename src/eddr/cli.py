@@ -405,6 +405,8 @@ def cmd_verify_moments(args) -> int:
     else:
         if args.p < 1:
             raise UsageError(f"--p must be at least 1, got {args.p}")
+        if args.n < 1:
+            raise UsageError(f"--n must be at least 1, got {args.n}")
         if args.draws < 2:
             raise UsageError(f"--draws must be at least 2, got {args.draws}")
         rows = mc_moment_suite(p=args.p, n=args.n, draws=args.draws, seed=args.seed)

@@ -16,16 +16,21 @@ import math
 import operator
 import statistics
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .exceptions import DimensionError, NotPositiveDefiniteError, ScoreOverflowError
-from .threads import both
+from .threads import share
 
 #: Group labels used throughout.
 PI1 = 1
 PI2 = 2
+
+#: Most rows in one block of work queued for the helper thread
+#: (:func:`eddr.threads.share`): a group's draw in :mod:`eddr.simulate` and
+#: the dual Gram matrix of :func:`pooled_summary` are cut into such blocks.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -239,21 +244,39 @@ def _as_observations(x) -> np.ndarray:
     return x
 
 
-def _dual_gram(c: np.ndarray) -> np.ndarray:
-    """``c @ c.T`` from the row split at h = N // 2, the same bits with or without a helper.
+def _dual_gram(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(c @ c.T, c @ d)`` from fixed blocks of rows, the same bits with or without a helper.
 
-    The caller forms the two diagonal blocks (symmetric rank updates) and
-    the helper of :func:`eddr.threads.both`, if any, the off-diagonal one;
-    its transpose fills the lower block.
+    The rows are split at h = N // 2.  Each diagonal block is one symmetric
+    rank update of its half.  The upper off-diagonal block is cut into
+    ceil(h / BLOCK_ROWS) panels of nearly equal rows, each formed and
+    mirrored below the diagonal by one task.  These tasks, largest first
+    by entries formed, then ``c @ d``, are shared with the helper of
+    :func:`eddr.threads.share`, if any.  With N <= 2 * BLOCK_ROWS the
+    off-diagonal block is one panel, so ``G`` is the three products of the
+    two halves.
     """
-    h = c.shape[0] // 2
-    top, bottom = c[:h], c[h:]
-    g = np.empty((c.shape[0], c.shape[0]))
-    both(lambda: np.matmul(top, bottom.T, out=g[:h, h:]),
-         lambda: (np.matmul(top, top.T, out=g[:h, :h]),
-                  np.matmul(bottom, bottom.T, out=g[h:, h:])))
-    g[h:, :h] = g[:h, h:].T
-    return g
+    n = c.shape[0]
+    h = n // 2
+    k = -(-h // BLOCK_ROWS)
+    cuts = [h * i // k for i in range(k + 1)]
+    top, bottom = slice(0, h), slice(h, n)
+    panels = [(slice(a, b), bottom) for a, b in zip(cuts, cuts[1:])]
+    blocks = [(bottom, bottom), (top, top), *panels]
+    g = np.empty((n, n))
+
+    def product(r: slice, s: slice) -> None:
+        np.matmul(c[r], c[s].T, out=g[r, s])
+        if r != s:
+            g[s, r] = g[r, s].T
+
+    def entries(block: tuple) -> int:
+        r, s = block
+        return (r.stop - r.start) * (s.stop - s.start) // (2 if r == s else 1)
+
+    tasks = [partial(product, *block) for block in sorted(blocks, key=entries, reverse=True)]
+    *_, w = share([*tasks, partial(np.matmul, c, d)])
+    return g, w
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -277,36 +300,45 @@ def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSu
     A statistic that overflows comes out infinite or NaN, as in
     :func:`_power_stats`.
 
-    When p > N, ``G`` is built from a fixed split of the N centred rows at
-    N // 2: the two diagonal blocks and the off-diagonal one are three
-    separate products, the last mirrored and, inside a helper block of
-    :mod:`eddr.threads`, formed by the helper.  The split does not depend
-    on the core count, so on one BLAS thread neither do the bits of ``G``.
+    The work is split into fixed tasks for :func:`eddr.threads.share`:
+    each group's check, mean, centring and scaling is one task, and when
+    p > N each diagonal block and off-diagonal panel of ``G`` (see
+    :func:`_dual_gram`) and ``C d`` is one more.  Group 1's errors come
+    before group 2's, and both before a disagreement on p.  No task
+    depends on the core count or on the thread that runs it, so on one
+    BLAS thread neither do the bits of the summary.
 
     ``_stacked``, private: an (n1 + n2) x p float array whose two row
     blocks are ``x1`` and ``x2``.  It is centred and scaled in place, and
     so overwritten, instead of copied.
     """
-    x1, x2 = _as_observations(x1), _as_observations(x2)
-    n1, p = x1.shape
-    if x2.shape[1] != p:
-        raise DimensionError(f"groups disagree on dimension: {p} vs {x2.shape[1]}")
-    xbar1 = x1.mean(axis=0)
-    xbar2 = x2.mean(axis=0)
+    try:  # sizes that admit no scale fail a group's check below
+        root = math.sqrt(max(len(x1) + len(x2) - 2, 1))
+    except TypeError:
+        root = 1.0
+
+    def centred(x) -> tuple[np.ndarray, np.ndarray]:
+        x = _as_observations(x)
+        xbar = x.mean(axis=0)
+        # C / sqrt(n): C'C / n = S and C C' / n = G / n
+        y = np.subtract(x, xbar, out=None if _stacked is None else x)
+        y /= root
+        return xbar, y
+
+    (xbar1, c1), (xbar2, c2) = share([partial(centred, x1), partial(centred, x2)])
+    n1, p = c1.shape
+    if c2.shape[1] != p:
+        raise DimensionError(f"groups disagree on dimension: {p} vs {c2.shape[1]}")
+    c = np.vstack([c1, c2]) if _stacked is None else _stacked
     d = xbar1 - xbar2
-    # C / sqrt(n), centred and scaled in place: C'C / n = S and C C' / n = G / n
-    c = np.vstack([x1, x2]) if _stacked is None else _stacked
-    c[:n1] -= xbar1
-    c[n1:] -= xbar2
-    c /= math.sqrt(c.shape[0] - 2)
     if p <= c.shape[0]:
         base = c.T @ c
         stats = _power_stats(base, d)
     else:
-        base = _dual_gram(c)
-        t1, t2, q1, q2, q3, _ = _power_stats(base, c @ d)
+        base, w = _dual_gram(c, d)
+        t1, t2, q1, q2, q3, _ = _power_stats(base, w)
         stats = (t1, t2, d @ d, q1, q2, q3)
-    return TwoSampleSummary(n1, x2.shape[0], p, xbar1, xbar2, *stats, base)
+    return TwoSampleSummary(n1, c2.shape[0], p, xbar1, xbar2, *stats, base)
 
 
 @np.errstate(over="ignore", invalid="ignore")

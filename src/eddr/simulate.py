@@ -45,13 +45,15 @@ from the trial's generator and block k >= 1 from its k-th spawned child;
 a smaller group is one draw from the trial's generator.  Building a
 population and running a chunk of trials pin OpenBLAS to one thread
 (:func:`eddr.threads.one_blas_thread`), and one helper thread of that
-block takes the freed core: it solves S-'s eigenvalues while the caller
-solves S+, and, in a chunk whose groups exceed ``BLOCK_ROWS`` rows,
-draws the odd blocks and forms the off-diagonal block of
-:func:`pooled_summary`'s dual Gram matrix.  These splits are fixed, so
-records are also bit-identical across BLAS thread counts and with the
-helper on or off.  Where no OpenBLAS thread setter is found, nothing is
-pinned and the bits of large designs may depend on the BLAS thread count.
+block takes the freed core.  The caller and the helper take fixed tasks
+from one queue (:func:`eddr.threads.share`): the two eigenproblems of a
+population and, in a chunk whose groups exceed ``BLOCK_ROWS`` rows, each
+substream block of a draw, each group's centring in
+:func:`pooled_summary` and each block of its dual Gram matrix.  A task
+computes the same bits whichever thread runs it, so records are also
+bit-identical across BLAS thread counts and with the helper on or off.
+Where no OpenBLAS thread setter is found, nothing is pinned and the bits
+of large designs may depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -60,13 +62,14 @@ import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import CutoffRequest, CutoffVariant, calibrate
-from .core import Dims, TwoSampleSummary, cholesky, pooled_summary, std_normal_cdf
+from .core import BLOCK_ROWS, Dims, TwoSampleSummary, cholesky, pooled_summary, std_normal_cdf
 # not called here: the traced benchmark (perfbench/sims.py) wraps
 # eddr.simulate.estimate_all by name
 from .estimators import _ALL_MIN_N, estimate_all  # noqa: F401
@@ -76,7 +79,7 @@ from .exceptions import (
     NotPositiveDefiniteError,
     SimulationError,
 )
-from .threads import both, cores, one_blas_thread
+from .threads import cores, one_blas_thread, openblas, share
 
 #: Separation between the group means on the squared-distance scale used
 #: by the simulation design: mu1 is placed so that Sigma^{-1/2} mu1 has
@@ -85,9 +88,6 @@ DESIGN_SEPARATION = 5.0
 
 #: Largest tolerated fraction of trials lost to calibration infeasibility.
 MAX_EXCLUDED_FRACTION = 1e-3
-
-#: Rows per random substream of a group's draw (:meth:`PopulationDesign.sample_group`).
-BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -225,23 +225,18 @@ class PopulationDesign:
         The rows are drawn in blocks of :data:`BLOCK_ROWS`: block 0 from
         ``rng`` and block k >= 1 from ``rng``'s k-th spawned child, so a
         group of at most ``BLOCK_ROWS`` rows is exactly
-        ``rng.standard_normal((rows, p)) * sd + mu``.  Inside a helper
-        block of :mod:`eddr.threads`, the helper draws the odd blocks while
-        the caller draws the even ones; the bits are the same without it.
+        ``rng.standard_normal((rows, p)) * sd + mu``.  Each block is one
+        task of :func:`eddr.threads.share`, so the bits are the same
+        whichever thread draws it.
         """
         if out is None:
             out = np.empty((rows, self.p))
         if rows <= BLOCK_ROWS:
             return _draw(rng, out, self.sd, mu)
-        starts = range(BLOCK_ROWS, rows, BLOCK_ROWS)
-        blocks = [(rng, out[:BLOCK_ROWS]),
-                  *zip(rng.spawn(len(starts)), (out[a:a + BLOCK_ROWS] for a in starts))]
-
-        def draw(part):
-            for block_rng, z in part:
-                _draw(block_rng, z, self.sd, mu)
-
-        both(lambda: draw(blocks[1::2]), lambda: draw(blocks[::2]))
+        starts = range(0, rows, BLOCK_ROWS)
+        rngs = [rng, *rng.spawn(len(starts) - 1)]
+        share([partial(_draw, block_rng, out[a:a + BLOCK_ROWS], self.sd, mu)
+               for block_rng, a in zip(rngs, starts)])
         return out
 
 
@@ -263,9 +258,9 @@ def make_population(cfg: SimConfig) -> PopulationDesign:
     mu1 is sqrt(lam) |x' 1| sqrt(5/p) on S+'s eigenvectors x and exactly 0
     on S-'s.  Taking the absolute value fixes each eigenvector's sign so
     that mu1 >= 0, whatever sign LAPACK returns.  The two solves run on one
-    BLAS thread each, S-'s on a helper thread when this process may use
-    more than one core.  A diagonal Sigma (rho = 0 or bandwidth 0) needs no
-    solver.  Raises
+    BLAS thread each, as two tasks of :func:`eddr.threads.share` with a
+    helper thread when this process may use more than one core.  A diagonal
+    Sigma (rho = 0 or bandwidth 0) needs no solver.  Raises
     :class:`NotPositiveDefiniteError` when the smallest eigenvalue is not
     positive.
     """
@@ -276,8 +271,8 @@ def make_population(cfg: SimConfig) -> PopulationDesign:
         return PopulationDesign(mu1=np.full(p, scale), mu2=np.zeros(p), sd=np.ones(p))
     s_plus, s_minus = _centrosymmetric_blocks(first)
     with one_blas_thread(helper=cores() > 1):
-        lam_minus, (lam_plus, x) = both(lambda: np.linalg.eigvalsh(s_minus),
-                                        lambda: np.linalg.eigh(s_plus))
+        (lam_plus, x), lam_minus = share([partial(np.linalg.eigh, s_plus),
+                                          partial(np.linalg.eigvalsh, s_minus)])
     lam = np.concatenate([lam_plus, lam_minus])
     if not lam.min() > 0.0:
         raise NotPositiveDefiniteError(
@@ -349,19 +344,25 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed & (2**64 - 1), index)))
 
 
+def _has_helper_work(cfg: SimConfig) -> bool:
+    """Whether a helper thread would share ``cfg``'s trials: a group has more
+    than ``BLOCK_ROWS`` rows and there is an OpenBLAS to pin."""
+    return max(cfg.n1, cfg.n2) > BLOCK_ROWS and openblas() is not None
+
+
 def _run_chunk(cfg: SimConfig, pop: PopulationDesign, start: int, stop: int,
                processes: int = 1):
     """Records (None where infeasible) of trials start..stop-1, on one BLAS thread.
 
     A helper thread starts only when a group has more than ``BLOCK_ROWS``
     rows and each of the ``processes`` chunks running side by side can have
-    two cores: on smaller designs, waking it costs more than the dual Gram
-    split saves.
+    two cores: on smaller designs, waking it costs more than sharing the
+    trial's tasks saves.
     """
     # one resident work matrix: fresh per-trial arrays of this size can fall
     # to mmap and fault in their pages on every trial
     x = np.empty((cfg.n1 + cfg.n2, cfg.p))
-    helps = max(cfg.n1, cfg.n2) > BLOCK_ROWS and cores() >= 2 * processes
+    helps = _has_helper_work(cfg) and cores() >= 2 * processes
     out = []
     with one_blas_thread(helper=helps):
         for i in range(start, stop):
@@ -392,8 +393,15 @@ def pool_size(workers: int) -> int:
 
 
 def run_simulation(cfg: SimConfig, pop: PopulationDesign | None = None) -> SimResult:
-    """Run ``cfg.reps`` independent trials, optionally across
+    """Run ``cfg.reps`` independent trials, optionally across up to
     :func:`pool_size` processes.
+
+    When a helper thread shares the trials, each process that keeps its
+    helper keeps two cores busy, so the run starts one process per two
+    cores whenever that leaves no more cores idle than a pool without
+    helpers: on two cores, one process and its helper instead of two
+    processes, which pay for their start, their hand-overs and the wait
+    for the last chunk.
 
     Fails with :class:`SimulationError` if more than 0.1% of the trials
     had to be excluded for calibration infeasibility.
@@ -401,6 +409,9 @@ def run_simulation(cfg: SimConfig, pop: PopulationDesign | None = None) -> SimRe
     if pop is None:
         pop = make_population(cfg)
     workers = pool_size(cfg.workers)
+    paired = min(workers, cores() // 2)
+    if _has_helper_work(cfg) and 2 * paired >= workers:
+        workers = paired
     if workers == 1 or cfg.reps < 4 * workers:
         raw = _run_chunk(cfg, pop, 0, cfg.reps)
     else:

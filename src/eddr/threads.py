@@ -13,9 +13,11 @@ nothing is pinned, no helper starts, and results may depend on the BLAS
 thread count.
 
 While pinned, the core that OpenBLAS would have used goes to one helper
-thread of the pinning block.  Work reaches it only through :func:`both`,
-in fixed splits that compute the same bits whether or not it ran; the
-helper calls numpy and nothing else of this package.
+thread of the pinning block.  Work reaches it only through :func:`share`:
+a list of fixed tasks that this thread and the helper take from one queue
+in turn.  Each task computes the same bits whichever thread runs it, so
+the results do not depend on whether the helper ran; the tasks call numpy
+and no public function of this package.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from functools import cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+
+import numpy as np
 
 #: (getter, setter) names of the thread count in an OpenBLAS build.
 _THREAD_FUNCTIONS = (
@@ -35,6 +39,8 @@ _THREAD_FUNCTIONS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+T = TypeVar("T")
 
 _owned = threading.local()  # .helper: the executor of this thread's innermost block
 
@@ -82,7 +88,7 @@ def one_blas_thread(helper: bool) -> Iterator[Executor | None]:
     """Pin OpenBLAS to one thread for the ``with`` block, then restore its count.
 
     With ``helper`` true and the pin in effect, a one-thread executor,
-    which the block yields, serves :func:`both` on this thread; else the
+    which the block yields, serves :func:`share` on this thread; else the
     block yields None and hides any outer helper.  On exit, also on an
     error, the executor is shut down and the outer helper and count
     restored, so a process forked outside a block inherits no helper.
@@ -102,18 +108,52 @@ def one_blas_thread(helper: bool) -> Iterator[Executor | None]:
         lib.set_threads(old)
 
 
-def both(side: Callable, here: Callable) -> tuple:
-    """``(side(), here())``, with ``side`` on this thread's helper while ``here`` runs here.
+def share(tasks: Iterable[Callable[[], T]]) -> list[T]:
+    """The results of ``tasks``, in task order; this thread and its helper each
+    take the next task from one queue until none is left.
 
-    Without a helper, as on the helper thread itself, both run here,
-    ``side`` first.  Both have finished when this returns or raises.
+    This thread claims the first task before the helper wakes, so a
+    large first task allocates from, and frees back to, the memory that
+    this thread's later work reuses, not a heap of the helper's own.
+    Without a helper, as on the helper thread itself or on a thread that
+    opened no helper block, the tasks run here, in order.  Tasks on the
+    helper run under this thread's numpy error state.  If tasks fail, the
+    error of the first of them in task order is raised once every task
+    that started has finished; no task starts once one has failed.
     """
     helper = getattr(_owned, "helper", None)
     if helper is None:
-        return side(), here()
-    pending = helper.submit(side)
+        return [task() for task in tasks]
+    queue, lock = enumerate(tasks), threading.Lock()
+    results: dict[int, T] = {}
+    errors: dict[int, BaseException] = {}
+
+    def claim() -> tuple[int, Callable[[], T]] | None:
+        with lock:
+            return None if errors else next(queue, None)
+
+    def take(item) -> None:
+        while item is not None:
+            i, task = item
+            try:
+                results[i] = task()
+            except BaseException as exc:  # raised below, once both threads are done
+                with lock:
+                    errors[i] = exc
+            item = claim()
+
+    state = np.geterr()
+
+    def take_on_helper() -> None:
+        with np.errstate(**state):
+            take(claim())
+
+    first = claim()
+    pending = helper.submit(take_on_helper)
     try:
-        mine = here()
+        take(first)
     finally:
-        theirs = pending.result()
-    return theirs, mine
+        pending.result()
+    if errors:
+        raise errors[min(errors)]
+    return [results[i] for i in range(len(results))]

@@ -764,9 +764,11 @@ class TestVerifyMoments:
         assert code == 0, err
         assert out.count("PASS") == 9
 
-    def test_mc_suite_needs_a_degree_of_freedom(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-moments", "--suite", "mc", "--n", "0")
+    def test_mc_suite_needs_a_degree_of_freedom(self, capsys, monkeypatch):
+        monkeypatch.setattr("eddr.cli.mc_moment_suite", lambda **kw: pytest.fail("sampled"))
+        code, out, err = run_cli(capsys, "verify-moments", "--suite", "mc", "--n", "0")
         assert code == 1
+        assert "--n must be at least 1, got 0" in err
         assert out == ""
 
     @pytest.mark.parametrize("draws", ["1", "0"])

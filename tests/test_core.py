@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from eddr.core import (
+    BLOCK_ROWS,
     PI1,
     PI2,
     Dims,
     TwoSampleSummary,
+    _dual_gram,
     cholesky,
     classify,
     discriminant_score,
@@ -20,6 +22,7 @@ from eddr.core import (
     std_normal_quantile,
 )
 from eddr.exceptions import DimensionError, NotPositiveDefiniteError
+from eddr.threads import one_blas_thread
 
 from conftest import random_orthogonal, random_spd
 from oracles import pxp_pooled_covariance, pxp_power_stats
@@ -84,6 +87,21 @@ class TestPooledSummary:
         for a, b in ((x1, x2), (x2, x1)):
             with pytest.raises(error):
                 pooled_summary(a, b)
+
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_first_group_error_comes_first(self, helper):
+        # group 1's checks, then group 2's, then the dimension agreement
+        nan = np.array([[0.0, np.nan], [1.0, 1.0]])
+        cases = [
+            (nan, np.zeros(2), ValueError, "non-finite"),
+            (np.zeros((1, 2)), nan, DimensionError, "at least 2 observations"),
+            (np.zeros((2, 2)), np.zeros((2, 3, 1)), DimensionError, "2-d array"),
+            (np.zeros((2, 3)), nan, ValueError, "non-finite"),
+        ]
+        with one_blas_thread(helper):
+            for x1, x2, error, match in cases:
+                with pytest.raises(error, match=match):
+                    pooled_summary(x1, x2)
 
 
 class TestSummaryValidation:
@@ -248,6 +266,36 @@ class TestPowerStatistics:
             assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
         c = np.vstack([x1 - want.xbar1, x2 - want.xbar2]) / np.sqrt(7)
         assert x.tobytes() == c.tobytes()  # overwritten, not copied
+
+
+class TestDualGram:
+    """``_dual_gram``'s blocks, shared with the helper thread or not."""
+
+    @pytest.mark.parametrize("helper", [False, True])
+    @pytest.mark.parametrize("n", [5, 200, 257, 398, 512])
+    def test_symmetric_and_equal_to_the_product(self, rng, n, helper):
+        c, d = rng.standard_normal((n, 540)), rng.standard_normal(540)
+        with one_blas_thread(helper):
+            g, w = _dual_gram(c, d)
+            want_w = c @ d
+        assert (g == g.T).all()
+        want = c @ c.T
+        assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+        assert w.tobytes() == want_w.tobytes()
+
+    @pytest.mark.parametrize("helper", [False, True])
+    @pytest.mark.parametrize("n", [4, 5, 200, 2 * BLOCK_ROWS])
+    def test_small_designs_keep_the_three_product_split(self, rng, n, helper):
+        c, d = rng.standard_normal((n, 300)), rng.standard_normal(300)
+        h = n // 2
+        with one_blas_thread(helper):
+            g, _ = _dual_gram(c, d)
+            want = np.empty((n, n))
+            np.matmul(c[:h], c[h:].T, out=want[:h, h:])
+            np.matmul(c[:h], c[:h].T, out=want[:h, :h])
+            np.matmul(c[h:], c[h:].T, out=want[h:, h:])
+            want[h:, :h] = want[:h, h:].T
+        assert g.tobytes() == want.tobytes()
 
 
 class TestScores:

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -18,7 +19,7 @@ from eddr.calibration import CutoffRequest
 from eddr.core import Dims, cholesky, pooled_summary
 from eddr.error_model import LimitParams, limit_values
 from eddr.estimators import estimate_all, estimate_low
-from eddr.threads import both, one_blas_thread, openblas
+from eddr.threads import one_blas_thread, openblas, share
 from eddr.exceptions import (
     CalibrationInfeasibleError,
     DimensionError,
@@ -46,6 +47,21 @@ def m1_config(**kw):
                 request=CutoffRequest.m1(0.2))
     base.update(kw)
     return SimConfig(**base)
+
+
+needs_openblas = pytest.mark.skipif(openblas() is None, reason="no OpenBLAS thread setter found")
+
+
+def _meeting():
+    """Two tasks that wait for each other, so two threads must take one each;
+    each returns the thread it ran on."""
+    meet = threading.Barrier(2, timeout=10)
+
+    def task():
+        meet.wait()
+        return threading.get_ident()
+
+    return [task, task]
 
 
 class TestBandSigma:
@@ -334,6 +350,36 @@ class TestDeterminism:
         assert record_bytes(many) == record_bytes(one)
         assert many.n_excluded == one.n_excluded
 
+    @needs_openblas
+    @pytest.mark.parametrize("ncores, workers, pool", [
+        (2, 2, None), (2, 8, None), (1, 2, None), (3, 3, 3), (4, 4, 2), (4, 3, 2)])
+    def test_helper_designs_give_each_process_two_cores(self, monkeypatch, ncores, workers,
+                                                         pool):
+        # a group over BLOCK_ROWS rows: a process that keeps its helper uses
+        # two cores, so a pool starts only where it keeps more cores busy
+        seen = []
+
+        class InlinePool:  # starts no process
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *columns):
+                assert set(columns[-1]) == {seen[-1]}
+                return map(fn, *columns)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sim, "cores", lambda: ncores)
+        cfg = m1_config(p=8, n1=BLOCK_ROWS + 2, n2=4, rho=0.5, reps=16, workers=workers)
+        res = run_simulation(cfg)
+        assert seen == ([] if pool is None else [pool])
+        assert record_bytes(res) == record_bytes(run_simulation(replace(cfg, workers=1)))
+
     def test_worker_count_invariance_above_n(self, two_cores):
         # p = 256 > N = 32: the Gram products run where BLAS may use threads
         cfg = m1_config(p=256, n1=16, n2=16, rho=0.5, reps=32, seed=5)
@@ -382,9 +428,6 @@ print(len(res.records), hashlib.sha256(rows.tobytes()).hexdigest())
 """
 
 
-needs_openblas = pytest.mark.skipif(openblas() is None, reason="no OpenBLAS thread setter found")
-
-
 class TestThreads:
     @pytest.mark.parametrize("rows", [1, 2, 127, BLOCK_ROWS])
     def test_small_group_is_one_draw(self, rows):
@@ -431,14 +474,17 @@ class TestThreads:
         assert helpers == [False, openblas() is not None]
 
     @needs_openblas
-    def test_both_on_the_helper_thread_runs_inline(self):
-        # the helper's own both() must not queue behind itself on its one-worker pool
+    def test_share_on_the_helper_thread_runs_inline(self):
+        # the helper's own share() must not queue behind itself on its one-worker pool
         me = threading.get_ident
         with one_blas_thread(helper=True) as pool:
-            on_helper = pool.submit(both, me, me).result()
-            here = both(me, me)
-        assert on_helper[0] == on_helper[1] != me()
-        assert here[0] != here[1] == me()
+            # the block's first share starts the helper thread, which must
+            # still leave the first task to the caller
+            here = share(_meeting())
+            on_helper = pool.submit(share, [me, me, me]).result(timeout=10)
+        assert len(set(on_helper)) == 1 and on_helper[0] != me()
+        assert here == [me(), on_helper[0]]
+        assert share([me, me]) == [me(), me()]
 
     @needs_openblas
     def test_block_without_helper_hides_the_outer_one(self):
@@ -448,19 +494,100 @@ class TestThreads:
         with one_blas_thread(helper=True):
             with one_blas_thread(helper=False) as inner:
                 assert inner is None
-                assert both(me, me) == (me(), me())
-            assert both(me, me)[0] != me() and lib.get_threads() == 1
+                assert share([me, me]) == [me(), me()]
+            assert len(set(share(_meeting()))) == 2 and lib.get_threads() == 1
             with pytest.raises(SimulationError, match="forced"):
                 with one_blas_thread(helper=False):
-                    assert both(me, me) == (me(), me())
+                    assert share([me, me]) == [me(), me()]
                     raise SimulationError("forced")
-            assert both(me, me)[0] != me() and lib.get_threads() == 1
+            assert len(set(share(_meeting()))) == 2 and lib.get_threads() == 1
             # another thread does not see this thread's helper
-            thread = threading.Thread(target=lambda: other.append(both(me, me)))
+            thread = threading.Thread(target=lambda: other.append((me(), share([me, me]))))
             thread.start()
-            thread.join()
-        assert other[0][0] == other[0][1] != me()
-        assert both(me, me) == (me(), me())
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        ident, got = other[0]
+        assert got == [ident, ident] and ident != me()
+        assert share([me, me]) == [me(), me()]
+
+    @needs_openblas
+    def test_share_runs_each_task_once_in_order(self):
+        # many small tasks with frequent thread switches: a task lost or run
+        # twice shows in its own count, a misplaced result in the order
+        counts = [0] * 500
+
+        def task(i):
+            counts[i] += 1
+            return 3 * i
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with one_blas_thread(helper=True):
+                for _ in range(20):
+                    counts[:] = [0] * 500
+                    tasks = [*_meeting(), *(lambda i=i: task(i) for i in range(2, 500))]
+                    got = share(tasks)
+                    assert counts[2:] == [1] * 498
+                    assert got[2:] == [3 * i for i in range(2, 500)]
+                    assert len(set(got[:2])) == 2
+        finally:
+            sys.setswitchinterval(switch)
+
+    @needs_openblas
+    def test_share_keeps_the_numpy_error_state(self):
+        meet = threading.Barrier(2, timeout=10)
+
+        def task():
+            meet.wait()
+            return threading.get_ident(), np.geterr()["over"]
+
+        with one_blas_thread(helper=True), np.errstate(over="ignore"):
+            got = share([task, task])
+        assert len({ident for ident, _ in got}) == 2
+        assert [state for _, state in got] == ["ignore", "ignore"]
+
+    def test_share_without_a_helper_stops_at_the_first_error(self):
+        ran = []
+        tasks = [lambda: ran.append(0), lambda: 1 / 0, lambda: ran.append(2)]
+        with pytest.raises(ZeroDivisionError):
+            share(tasks)
+        assert ran == [0]
+
+    @needs_openblas
+    def test_share_raises_the_first_error_in_task_order(self):
+        # task 1 fails first in time, task 0 first in task order; neither
+        # thread starts task 2 once a task has failed
+        failed, ran = threading.Event(), []
+        meet = threading.Barrier(2, timeout=10)
+
+        def first():
+            meet.wait()
+            assert failed.wait(timeout=10)
+            raise SimulationError("first")
+
+        def second():
+            meet.wait()
+            failed.set()
+            raise ValueError("second")
+
+        # a task that started finishes before share() raises
+        def slow():
+            meet.wait()
+            time.sleep(0.2)
+            ran.append("slow")
+
+        def failing():
+            meet.wait()
+            raise ValueError("early")
+
+        with one_blas_thread(helper=True):
+            with pytest.raises(SimulationError, match="first"):
+                share([first, second, lambda: ran.append("after")])
+            assert ran == []
+            with pytest.raises(ValueError, match="early"):
+                share([failing, slow, lambda: ran.append("after")])
+            assert ran == ["slow"]
 
     @needs_openblas
     def test_records_do_not_depend_on_blas_threads(self):

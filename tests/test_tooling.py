@@ -83,6 +83,40 @@ def test_trace_wrappers_install_and_restore(perfbench_modules, monkeypatch):
     assert ok, detail
 
 
+def test_traced_chunk_with_the_helper_closes(perfbench_modules, monkeypatch):
+    # the tracer keeps one span stack for all threads: a task that the helper
+    # takes must call none of the names perfbench wraps, or the spans of a
+    # chunk at N = 288 > 2 * BLOCK_ROWS would not nest
+    sims, tracing, _ = perfbench_modules
+    monkeypatch.setattr(eddr.simulate, "cores", lambda: 2)
+    helpers = []
+    one_blas_thread = eddr.threads.one_blas_thread
+
+    @contextlib.contextmanager
+    def spy(helper):
+        with one_blas_thread(helper) as executor:
+            helpers.append(executor is not None)
+            yield executor
+
+    monkeypatch.setattr(eddr.simulate, "one_blas_thread", spy)
+    cfg = eddr.simulate.SimConfig(p=320, n1=144, n2=144, rho=0.5, reps=3, seed=4,
+                                  request=CutoffRequest.m1(0.3))
+    pop = eddr.simulate.make_population(cfg)
+    helpers.clear()
+    tracer = tracing.Tracer()
+    try:
+        sims._install_trial_wrappers(tracer)
+        records = eddr.simulate._run_chunk(cfg, pop, 0, cfg.reps)
+    finally:
+        tracer.restore()
+    assert None not in records
+    assert helpers == [eddr.threads.openblas() is not None]
+    spans = tracer.finished()
+    assert sum(span.name == "simulate.sample_group" for span in spans) == 2 * cfg.reps
+    ok, detail = tracing.check_closure(spans, "simulate.run_trial")
+    assert ok, detail
+
+
 def test_import_loads_no_scipy():
     # a fresh interpreter: this one may hold scipy for the reference tests.
     # Nor importlib.metadata: the version is eddr.__version__, not a lookup
