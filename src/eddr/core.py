@@ -300,36 +300,34 @@ def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSu
     A statistic that overflows comes out infinite or NaN, as in
     :func:`_power_stats`.
 
-    The work is split into fixed tasks for :func:`eddr.threads.share`:
-    each group's check, mean, centring and scaling is one task, and when
-    p > N each diagonal block and off-diagonal panel of ``G`` (see
-    :func:`_dual_gram`) and ``C d`` is one more.  Group 1's errors come
-    before group 2's, and both before a disagreement on p.  No task
-    depends on the core count or on the thread that runs it, so on one
-    BLAS thread neither do the bits of the summary.
+    The groups are checked first, on this thread: group 1's errors come
+    before group 2's, and both before a disagreement on p.  The rest is
+    split into fixed tasks for :func:`eddr.threads.share`: each group's
+    mean, centring and scaling is one task, and when p > N each diagonal
+    block and off-diagonal panel of ``G`` (see :func:`_dual_gram`) and
+    ``C d`` is one more.  No task depends on the core count or on the
+    thread that runs it, so on one BLAS thread neither do the bits of the
+    summary.
 
     ``_stacked``, private: an (n1 + n2) x p float array whose two row
     blocks are ``x1`` and ``x2``.  It is centred and scaled in place, and
     so overwritten, instead of copied.
     """
-    try:  # sizes that admit no scale fail a group's check below
-        root = math.sqrt(max(len(x1) + len(x2) - 2, 1))
-    except TypeError:
-        root = 1.0
+    x1, x2 = _as_observations(x1), _as_observations(x2)
+    (n1, p), n2 = x1.shape, x2.shape[0]
+    if x2.shape[1] != p:
+        raise DimensionError(f"groups disagree on dimension: {p} vs {x2.shape[1]}")
+    c = np.empty((n1 + n2, p)) if _stacked is None else _stacked
+    root = math.sqrt(n1 + n2 - 2)
 
-    def centred(x) -> tuple[np.ndarray, np.ndarray]:
-        x = _as_observations(x)
+    def centre(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         xbar = x.mean(axis=0)
         # C / sqrt(n): C'C / n = S and C C' / n = G / n
-        y = np.subtract(x, xbar, out=None if _stacked is None else x)
+        np.subtract(x, xbar, out=y)
         y /= root
-        return xbar, y
+        return xbar
 
-    (xbar1, c1), (xbar2, c2) = share([partial(centred, x1), partial(centred, x2)])
-    n1, p = c1.shape
-    if c2.shape[1] != p:
-        raise DimensionError(f"groups disagree on dimension: {p} vs {c2.shape[1]}")
-    c = np.vstack([c1, c2]) if _stacked is None else _stacked
+    xbar1, xbar2 = share([partial(centre, x1, c[:n1]), partial(centre, x2, c[n1:])])
     d = xbar1 - xbar2
     if p <= c.shape[0]:
         base = c.T @ c
@@ -338,7 +336,7 @@ def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSu
         base, w = _dual_gram(c, d)
         t1, t2, q1, q2, q3, _ = _power_stats(base, w)
         stats = (t1, t2, d @ d, q1, q2, q3)
-    return TwoSampleSummary(n1, c2.shape[0], p, xbar1, xbar2, *stats, base)
+    return TwoSampleSummary(n1, n2, p, xbar1, xbar2, *stats, base)
 
 
 @np.errstate(over="ignore", invalid="ignore")

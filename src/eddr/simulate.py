@@ -79,7 +79,7 @@ from .exceptions import (
     NotPositiveDefiniteError,
     SimulationError,
 )
-from .threads import cores, one_blas_thread, openblas, share
+from .threads import cores, one_blas_thread, share
 
 #: Separation between the group means on the squared-distance scale used
 #: by the simulation design: mu1 is placed so that Sigma^{-1/2} mu1 has
@@ -344,12 +344,6 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed & (2**64 - 1), index)))
 
 
-def _has_helper_work(cfg: SimConfig) -> bool:
-    """Whether a helper thread would share ``cfg``'s trials: a group has more
-    than ``BLOCK_ROWS`` rows and there is an OpenBLAS to pin."""
-    return max(cfg.n1, cfg.n2) > BLOCK_ROWS and openblas() is not None
-
-
 def _run_chunk(cfg: SimConfig, pop: PopulationDesign, start: int, stop: int,
                processes: int = 1):
     """Records (None where infeasible) of trials start..stop-1, on one BLAS thread.
@@ -362,7 +356,7 @@ def _run_chunk(cfg: SimConfig, pop: PopulationDesign, start: int, stop: int,
     # one resident work matrix: fresh per-trial arrays of this size can fall
     # to mmap and fault in their pages on every trial
     x = np.empty((cfg.n1 + cfg.n2, cfg.p))
-    helps = _has_helper_work(cfg) and cores() >= 2 * processes
+    helps = max(cfg.n1, cfg.n2) > BLOCK_ROWS and cores() >= 2 * processes
     out = []
     with one_blas_thread(helper=helps):
         for i in range(start, stop):
@@ -393,15 +387,8 @@ def pool_size(workers: int) -> int:
 
 
 def run_simulation(cfg: SimConfig, pop: PopulationDesign | None = None) -> SimResult:
-    """Run ``cfg.reps`` independent trials, optionally across up to
+    """Run ``cfg.reps`` independent trials, optionally across
     :func:`pool_size` processes.
-
-    When a helper thread shares the trials, each process that keeps its
-    helper keeps two cores busy, so the run starts one process per two
-    cores whenever that leaves no more cores idle than a pool without
-    helpers: on two cores, one process and its helper instead of two
-    processes, which pay for their start, their hand-overs and the wait
-    for the last chunk.
 
     Fails with :class:`SimulationError` if more than 0.1% of the trials
     had to be excluded for calibration infeasibility.
@@ -409,9 +396,6 @@ def run_simulation(cfg: SimConfig, pop: PopulationDesign | None = None) -> SimRe
     if pop is None:
         pop = make_population(cfg)
     workers = pool_size(cfg.workers)
-    paired = min(workers, cores() // 2)
-    if _has_helper_work(cfg) and 2 * paired >= workers:
-        workers = paired
     if workers == 1 or cfg.reps < 4 * workers:
         raw = _run_chunk(cfg, pop, 0, cfg.reps)
     else:

@@ -350,36 +350,6 @@ class TestDeterminism:
         assert record_bytes(many) == record_bytes(one)
         assert many.n_excluded == one.n_excluded
 
-    @needs_openblas
-    @pytest.mark.parametrize("ncores, workers, pool", [
-        (2, 2, None), (2, 8, None), (1, 2, None), (3, 3, 3), (4, 4, 2), (4, 3, 2)])
-    def test_helper_designs_give_each_process_two_cores(self, monkeypatch, ncores, workers,
-                                                         pool):
-        # a group over BLOCK_ROWS rows: a process that keeps its helper uses
-        # two cores, so a pool starts only where it keeps more cores busy
-        seen = []
-
-        class InlinePool:  # starts no process
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, *columns):
-                assert set(columns[-1]) == {seen[-1]}
-                return map(fn, *columns)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(sim, "cores", lambda: ncores)
-        cfg = m1_config(p=8, n1=BLOCK_ROWS + 2, n2=4, rho=0.5, reps=16, workers=workers)
-        res = run_simulation(cfg)
-        assert seen == ([] if pool is None else [pool])
-        assert record_bytes(res) == record_bytes(run_simulation(replace(cfg, workers=1)))
-
     def test_worker_count_invariance_above_n(self, two_cores):
         # p = 256 > N = 32: the Gram products run where BLAS may use threads
         cfg = m1_config(p=256, n1=16, n2=16, rho=0.5, reps=32, seed=5)
