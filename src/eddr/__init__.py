@@ -11,7 +11,6 @@ used for verification, and a reproducible Monte Carlo harness.
 __version__ = "0.1.0"
 
 from .calibration import (
-    CalibrationOutcome,
     CutoffRequest,
     CutoffResult,
     CutoffVariant,

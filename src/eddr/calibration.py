@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TwoSampleSummary, std_normal_quantile
+from .core import TwoSampleSummary, _interior, std_normal_quantile
 from .error_model import (
     AsymptoticLaw,
     LimitParams,
@@ -49,9 +49,9 @@ DEFAULT_M2_ANCHOR = "eu"
 LOGIT_VARIANCE_CONVENTIONS = ("plain", "delta")
 DEFAULT_LOGIT_VARIANCE = "delta"
 
-#: The fixed-point anchor stops once the cut-off moves by at most
-#: FIXED_POINT_TOL * (sqrt(v0) + |c|), a bound that scales like the
-#: cut-off, or after FIXED_POINT_MAX_ITER updates.
+#: The fixed-point anchor stops once the law's cut-off is within
+#: FIXED_POINT_TOL * (sqrt(v0) + |c|) of its anchor c, a bound that scales
+#: like the cut-off, and is refused after FIXED_POINT_MAX_ITER updates.
 FIXED_POINT_MAX_ITER = 100
 FIXED_POINT_TOL = 1e-10
 
@@ -125,15 +125,19 @@ class CutoffRequest:
 class CutoffResult:
     """Half-scale cut-off plus how it was obtained.
 
-    ``gamma`` is the effective percentile used (M2 only, else None);
-    ``fell_back`` records a normal-scale request that had to be served by
-    the logit variant.
+    ``limit`` holds the limiting parameters the cut-off was read from.
+    ``gamma`` is the effective percentile used and ``law`` the error law
+    it came from (M2 only, else None); ``fell_back`` records a
+    normal-scale request that had to be served by the logit variant.
+    ``law`` holds arrays, so it takes no part in equality.
     """
 
     c: float
     variant_used: CutoffVariant
+    limit: LimitParams
     gamma: float | None = None
     fell_back: bool = False
+    law: AsymptoticLaw | None = field(default=None, compare=False)
 
 
 def _quantile_cutoff(lp: LimitParams, g: float) -> float:
@@ -143,7 +147,7 @@ def _quantile_cutoff(lp: LimitParams, g: float) -> float:
 
 def m1_cutoff(lp: LimitParams, alpha: float) -> CutoffResult:
     """Cut-off with limiting expected error exactly alpha; ValueError unless 0 < alpha < 1."""
-    return CutoffResult(c=_quantile_cutoff(lp, alpha), variant_used=CutoffVariant.M1)
+    return CutoffResult(c=_quantile_cutoff(lp, alpha), variant_used=CutoffVariant.M1, limit=lp)
 
 
 def gamma_normal(eu: float, beta: float, tau: float) -> float:
@@ -170,11 +174,7 @@ def gamma_logit(eu: float, beta: float, tau_ell: float) -> float:
     else:
         expo = math.exp(shift)
         out = expo / (1.0 + expo)
-    if out <= 0.0:
-        return math.nextafter(0.0, 1.0)
-    if out >= 1.0:
-        return math.nextafter(1.0, 0.0)
-    return out
+    return _interior(out)
 
 
 def m2_cutoff(lp: LimitParams, law: AsymptoticLaw, req: CutoffRequest) -> CutoffResult:
@@ -196,7 +196,8 @@ def m2_cutoff(lp: LimitParams, law: AsymptoticLaw, req: CutoffRequest) -> Cutoff
     if req.variant == CutoffVariant.M2_NORMAL:
         if 0.0 < gamma_n < 1.0:
             return CutoffResult(c=_quantile_cutoff(lp, gamma_n),
-                                variant_used=CutoffVariant.M2_NORMAL, gamma=gamma_n)
+                                variant_used=CutoffVariant.M2_NORMAL, limit=lp, gamma=gamma_n,
+                                law=law)
         fell_back = True
     g = gamma_n if 0.0 < gamma_n < 1.0 else law.e0
     spread = g * (1.0 - g)  # > 0 for any double g in (0, 1)
@@ -210,20 +211,11 @@ def m2_cutoff(lp: LimitParams, law: AsymptoticLaw, req: CutoffRequest) -> Cutoff
             f"logit-scale percentile degenerated to {gamma:g}"
         )
     return CutoffResult(c=_quantile_cutoff(lp, gamma), variant_used=CutoffVariant.M2_LOGIT,
-                        gamma=gamma, fell_back=fell_back)
-
-
-@dataclass(frozen=True)
-class CalibrationOutcome:
-    """Cut-off plus the intermediate quantities, for diagnostics."""
-
-    result: CutoffResult
-    limit: LimitParams
-    law: AsymptoticLaw | None
+                        limit=lp, gamma=gamma, fell_back=fell_back, law=law)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def calibrate(summary: TwoSampleSummary, request: CutoffRequest) -> CalibrationOutcome:
+def calibrate(summary: TwoSampleSummary, request: CutoffRequest) -> CutoffResult:
     """Cut-off for ``request`` from the training data's summary.
 
     M1 needs only the a2, delta0 and delta1 estimates of
@@ -231,8 +223,10 @@ def calibrate(summary: TwoSampleSummary, request: CutoffRequest) -> CalibrationO
     needs all eight (n >= 7).  Its error law must be
     evaluated at some cut-off before the adjusted percentile exists;
     ``request.anchor`` selects that point (see :data:`M2_ANCHORS`).  The
-    fixed-point option iterates law evaluation and cut-off extraction
-    until the cut-off stops moving.  The law uses
+    fixed-point option moves the anchor halfway to the law's cut-off
+    until the two agree (the halving contracts for any slope of that map
+    in (-3, 1)), and raises :class:`CalibrationInfeasibleError` if they
+    still differ after :data:`FIXED_POINT_MAX_ITER` updates.  The law uses
     :func:`~eddr.error_model.estimator_covariance`, the matrix that
     reproduces the reference simulation tables.  An estimate that
     overflows raises :class:`CalibrationInfeasibleError` instead of a
@@ -240,27 +234,27 @@ def calibrate(summary: TwoSampleSummary, request: CutoffRequest) -> CalibrationO
     """
     if request.variant == CutoffVariant.M1:
         _, a2, d0, d1 = estimate_low(summary)
-        lp = LimitParams(*limit_values(d0, d1, a2, summary))
-        return CalibrationOutcome(result=m1_cutoff(lp, request.alpha), limit=lp, law=None)
+        return m1_cutoff(LimitParams(*limit_values(d0, d1, a2, summary)), request.alpha)
     traces, deltas = estimate_all(summary)
     lp = LimitParams(*limit_values(deltas.d0, deltas.d1, traces.a2, summary))
     theta = estimator_covariance(deltas, traces, summary)
     # start where the limiting error equals the target upper bound
     c = _quantile_cutoff(lp, request.eu)
-    for _ in range(1 + FIXED_POINT_MAX_ITER if request.anchor == "fixed-point" else 1):
-        law = asymptotic_law(lp, theta, c)
-        res = m2_cutoff(lp, law, request)
-        if abs(res.c - c) <= FIXED_POINT_TOL * (math.sqrt(lp.v0) + abs(c)):
-            break
-        c = res.c
-    return CalibrationOutcome(result=res, limit=lp, law=law)
+    for _ in range(1 + FIXED_POINT_MAX_ITER):
+        res = m2_cutoff(lp, asymptotic_law(lp, theta, c), request)
+        moved = abs(res.c - c)
+        if request.anchor == "eu" or moved <= FIXED_POINT_TOL * (math.sqrt(lp.v0) + abs(c)):
+            return res
+        c = 0.5 * (c + res.c)
+    raise CalibrationInfeasibleError(
+        f"fixed-point cut-off not self-consistent after {FIXED_POINT_MAX_ITER} updates"
+    )
 
 
 __all__ = [
     "CutoffVariant",
     "CutoffRequest",
     "CutoffResult",
-    "CalibrationOutcome",
     "m1_cutoff",
     "gamma_normal",
     "gamma_logit",

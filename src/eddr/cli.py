@@ -155,8 +155,7 @@ def cmd_estimate(args) -> int:
 def cmd_calibrate(args) -> int:
     request = _request_from_args(vars(args))
     summary = _load_training(args)
-    outcome = calibrate(summary, request)
-    res = outcome.result
+    res = calibrate(summary, request)
     if res.fell_back:
         print("note: normal-scale percentile left (0,1); used the logit variant", file=sys.stderr)
     payload = {
@@ -164,11 +163,11 @@ def cmd_calibrate(args) -> int:
         "variant_used": res.variant_used.value,
         "gamma": res.gamma,
         "fell_back": res.fell_back,
-        "e0": request.alpha if request.variant == CutoffVariant.M1 else outcome.law.e0,
-        "tau2": None if outcome.law is None else outcome.law.tau2,
+        "e0": request.alpha if res.law is None else res.law.e0,
+        "tau2": None if res.law is None else res.law.tau2,
         "a1": a1_from_traces(float(summary.t1), summary.p),
-        "u0": outcome.limit.u0,
-        "v0": outcome.limit.v0,
+        "u0": res.limit.u0,
+        "v0": res.limit.v0,
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -193,7 +192,7 @@ def cmd_classify(args) -> int:
     if args.cutoff is not None:
         c = args.cutoff
     else:
-        c = calibrate(summary, request).result.c
+        c = calibrate(summary, request).c
     lines = []
     if query.size:
         if query.shape[1] != summary.p:

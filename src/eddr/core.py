@@ -381,6 +381,15 @@ def std_normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def _interior(u: float) -> float:
+    """``u``, or the nearest double inside (0, 1) where it rounded onto 0.0 or 1.0."""
+    if u <= 0.0:
+        return math.nextafter(0.0, 1.0)
+    if u >= 1.0:
+        return math.nextafter(1.0, 0.0)
+    return u
+
+
 _STD_NORMAL = statistics.NormalDist()
 
 

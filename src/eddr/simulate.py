@@ -69,7 +69,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import CutoffRequest, CutoffVariant, calibrate
-from .core import BLOCK_ROWS, Dims, TwoSampleSummary, cholesky, pooled_summary, std_normal_cdf
+from .core import (BLOCK_ROWS, Dims, TwoSampleSummary, _interior, cholesky, pooled_summary,
+                   std_normal_cdf)
 # not called here: the traced benchmark (perfbench/sims.py) wraps
 # eddr.simulate.estimate_all by name
 from .estimators import _ALL_MIN_N, estimate_all  # noqa: F401
@@ -329,14 +330,10 @@ def run_trial(cfg: SimConfig, pop: PopulationDesign, rng: np.random.Generator,
     x1 = pop.sample_group(pop.mu1, cfg.n1, rng, out=x[:cfg.n1])
     x2 = pop.sample_group(pop.mu2, cfg.n2, rng, out=x[cfg.n1:])
     summary = pooled_summary(x1, x2, _stacked=x)
-    res = calibrate(summary, cfg.request).result
-    ce = conditional_error(error_inputs(summary, pop), res.c)
+    res = calibrate(summary, cfg.request)
     # an extreme trial can underflow the error probability to 0.0 or 1.0 in
     # double precision; the mathematical value is strictly interior
-    if ce <= 0.0:
-        ce = math.nextafter(0.0, 1.0)
-    elif ce >= 1.0:
-        ce = math.nextafter(1.0, 0.0)
+    ce = _interior(conditional_error(error_inputs(summary, pop), res.c))
     return TrialRecord(cond_error=ce, cutoff=res.c, fell_back=res.fell_back)
 
 

@@ -8,7 +8,6 @@ import pytest
 from eddr.calibration import (
     DEFAULT_LOGIT_VARIANCE,
     DEFAULT_M2_ANCHOR,
-    CalibrationOutcome,
     CutoffRequest,
     CutoffResult,
     CutoffVariant,
@@ -28,6 +27,7 @@ from eddr.error_model import (
     limit_values,
 )
 from eddr.estimators import estimate_all
+from eddr.exceptions import CalibrationInfeasibleError
 
 # high-precision references (30-digit arithmetic)
 M1_EXAMPLE_C = -0.0631031310892009339302066589
@@ -262,6 +262,19 @@ class TestM2:
         with pytest.raises(ValueError):
             m2_cutoff(lp, law_with(tau2=0.01), CutoffRequest.m1(0.1))
 
+    @pytest.mark.parametrize("tau", [0.02, 0.1])  # normal route, and the logit fall-back
+    def test_result_carries_its_limit_and_law(self, tau):
+        lp = LimitParams(u0=-2.5, v0=9.0)
+        req = CutoffRequest.m2_normal(0.1, 0.01)
+        law = law_with(tau2=tau**2, e0=0.1)
+        res = m2_cutoff(lp, law, req)
+        assert res.fell_back == (tau == 0.1)
+        assert res.limit is lp and res.law is law
+        m1 = m1_cutoff(lp, 0.1)
+        assert m1.limit is lp and m1.law is None
+        # the law holds arrays, so it takes no part in equality
+        assert res == m2_cutoff(lp, law_with(tau2=tau**2, e0=0.1), req)
+
 
 class TestCalibrate:
     def setup_method(self):
@@ -276,7 +289,7 @@ class TestCalibrate:
         out = calibrate(self.summary, CutoffRequest.m1(0.3))
         assert out.law is None
         assert out.limit == LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
-        assert expected_error(out.limit, out.result.c) == pytest.approx(0.3, abs=1e-12)
+        assert expected_error(out.limit, out.c) == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("p", [16, 200])  # N = 64: p <= N and p > N
     def test_m1_never_forms_the_high_power_product(self, p):
@@ -295,20 +308,20 @@ class TestCalibrate:
         assert out.law is not None
         assert out.limit == LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
         assert out.law.e0 == pytest.approx(0.2, abs=1e-12)  # anchored at the bound
-        assert 0.0 < out.result.gamma < 0.2
-        assert out.result.c == m1_cutoff(out.limit, out.result.gamma).c
+        assert 0.0 < out.gamma < 0.2
+        assert out.c == m1_cutoff(out.limit, out.gamma).c
 
     def test_fixed_point_converges(self):
         req = CutoffRequest.m2_normal(0.2, 0.1, anchor="fixed-point")
         out_eu = calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1, anchor="eu"))
         out_fp = calibrate(self.summary, req)
         # the self-consistent cut-off is less conservative here
-        assert out_fp.result.c > out_eu.result.c
+        assert out_fp.c > out_eu.c
         lp = LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
         theta = estimator_covariance(self.d, self.t, DIMS)
-        law = asymptotic_law(lp, theta, out_fp.result.c)
+        law = asymptotic_law(lp, theta, out_fp.c)
         res = m2_cutoff(lp, law, req)
-        assert res.c == pytest.approx(out_fp.result.c, rel=1e-8)
+        assert res.c == pytest.approx(out_fp.c, rel=1e-8)
 
     def test_fixed_point_stops_after_101_law_evaluations(self, monkeypatch):
         import eddr.calibration as cal
@@ -321,15 +334,41 @@ class TestCalibrate:
 
         def drifting_cutoff(lp, law, req):  # never self-consistent
             res = m2_cutoff(lp, law, req)
-            return CutoffResult(c=calls[-1] + 1e-3, variant_used=res.variant_used, gamma=res.gamma)
+            return CutoffResult(c=calls[-1] + 1e-3, variant_used=res.variant_used, limit=lp,
+                                gamma=res.gamma)
 
         monkeypatch.setattr(cal, "asymptotic_law", counting_law)
         monkeypatch.setattr(cal, "m2_cutoff", drifting_cutoff)
-        calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1, anchor="fixed-point"))
+        with pytest.raises(CalibrationInfeasibleError, match="not self-consistent"):
+            calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1, anchor="fixed-point"))
         assert len(calls) == 1 + cal.FIXED_POINT_MAX_ITER == 101
         calls.clear()
         calibrate(self.summary, CutoffRequest.m2_normal(0.2, 0.1))
         assert len(calls) == 1
+
+    def test_fixed_point_results_are_self_consistent(self, monkeypatch):
+        # m2-logit at p = 8, N = 32: the map's slope at its fixed point is
+        # below -1 here, so an undamped update falls into a 2-cycle and
+        # its last iterate is no fixed point
+        import eddr.simulate as sim
+
+        seen = []
+
+        def recording(summary, request):
+            res = calibrate(summary, request)
+            seen.append((summary, res))
+            return res
+
+        monkeypatch.setattr(sim, "calibrate", recording)
+        req = CutoffRequest.m2_logit(0.1, 0.01, anchor="fixed-point")
+        cfg = sim.SimConfig(p=8, n1=16, n2=16, rho=0.5, reps=50, seed=77, request=req)
+        assert sim.run_simulation(cfg).n_excluded == 0
+        assert len(seen) == 50
+        for summary, res in seen:
+            traces, deltas = estimate_all(summary)
+            theta = estimator_covariance(deltas, traces, summary)
+            again = m2_cutoff(res.limit, asymptotic_law(res.limit, theta, res.c), req).c
+            assert abs(again - res.c) <= 1e-9 * (math.sqrt(res.limit.v0) + abs(res.c))
 
     def test_unknown_anchor_rejected(self):
         with pytest.raises(ValueError, match="unknown anchor 'nope'"):

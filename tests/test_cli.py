@@ -196,10 +196,10 @@ class TestCalibrate:
         summary = pooled_summary(read_matrix_csv(f1), read_matrix_csv(f2))
         request = CutoffRequest.m2_normal(0.3, 0.1, anchor="fixed-point", logit_variance="plain")
         lib = calibrate(summary, request)
-        assert payload["c"] == lib.result.c
-        assert payload["gamma"] == lib.result.gamma
+        assert payload["c"] == lib.c
+        assert payload["gamma"] == lib.gamma
         assert payload["tau2"] == lib.law.tau2
-        assert lib.result.c != calibrate(summary, CutoffRequest.m2_normal(0.3, 0.1)).result.c
+        assert lib.c != calibrate(summary, CutoffRequest.m2_normal(0.3, 0.1)).c
 
     def test_m1_works_below_the_m2_sample_size(self, capsys, tmp_path, rng):
         # n1 = n2 = 3 (n = 4): M1 needs only a2, delta0 and delta1; M2 needs n >= 7
@@ -211,7 +211,7 @@ class TestCalibrate:
         code, out, err = run_cli(capsys, "calibrate", *paths, "--method", "m1", "--alpha", "0.2")
         assert code == 0, err
         summary = pooled_summary(read_matrix_csv(paths[0]), read_matrix_csv(paths[1]))
-        assert json.loads(out)["c"] == calibrate(summary, CutoffRequest.m1(0.2)).result.c
+        assert json.loads(out)["c"] == calibrate(summary, CutoffRequest.m1(0.2)).c
         code, out, err = run_cli(capsys, "classify", *paths, paths[0],
                                  "--method", "m1", "--alpha", "0.2")
         assert code == 0, err

@@ -56,7 +56,7 @@ def quantities(x1, x2, query):
         for est in estimates:
             out.update({f"{type(est).__name__}.{k}": v for k, v in asdict(est).items()})
     for request in REQUESTS:
-        out[request.variant.value] = outcome(lambda: calibrate(summary, request).result.c)
+        out[request.variant.value] = outcome(lambda: calibrate(summary, request).c)
     return out
 
 

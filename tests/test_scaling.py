@@ -87,7 +87,7 @@ def test_tau2_at_the_calibrated_cutoff_is_scale_free(design, s):
 def test_m1_cutoff_scales_by_s2(design, s):
     request = CutoffRequest.m1(0.1)
     base = feasible(design, request)
-    assert calibrated(design, s, request).result.c == pytest.approx(s**2 * base.result.c, rel=REL)
+    assert calibrated(design, s, request).c == pytest.approx(s**2 * base.c, rel=REL)
 
 
 @pytest.mark.parametrize("anchor", M2_ANCHORS)
@@ -97,4 +97,4 @@ def test_m2_cutoff_scales_by_s2(anchor, design, s):
     request = CutoffRequest.m2_logit(0.2, 0.1, anchor=anchor)
     base = feasible(design, request)
     scaled = calibrated(design, s, request)
-    assert scaled.result.c == pytest.approx(s**2 * base.result.c, rel=REL)
+    assert scaled.c == pytest.approx(s**2 * base.c, rel=REL)
