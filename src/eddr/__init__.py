@@ -45,8 +45,7 @@ from .error_model import (
     statistic_covariance,
 )
 from .estimators import (
-    DeltaEstimates,
-    TraceEstimates,
+    Estimates,
     estimate_all,
     estimate_low,
 )

@@ -235,9 +235,9 @@ def calibrate(summary: TwoSampleSummary, request: CutoffRequest) -> CutoffResult
     if request.variant == CutoffVariant.M1:
         _, a2, d0, d1 = estimate_low(summary)
         return m1_cutoff(LimitParams(*limit_values(d0, d1, a2, summary)), request.alpha)
-    traces, deltas = estimate_all(summary)
-    lp = LimitParams(*limit_values(deltas.d0, deltas.d1, traces.a2, summary))
-    theta = estimator_covariance(deltas, traces, summary)
+    est = estimate_all(summary)
+    lp = LimitParams(*limit_values(est.d0, est.d1, est.a2, summary))
+    theta = estimator_covariance(est, summary)
     # start where the limiting error equals the target upper bound
     c = _quantile_cutoff(lp, request.eu)
     for _ in range(1 + FIXED_POINT_MAX_ITER):

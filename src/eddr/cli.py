@@ -120,17 +120,17 @@ class UsageError(Exception):
 @one_blas_thread(helper=False)
 def cmd_estimate(args) -> int:
     summary = _load_training(args)
-    traces, deltas = estimate_all(summary)
-    u0, v0 = limit_values(deltas.d0, deltas.d1, traces.a2, summary)
+    est = estimate_all(summary)
+    u0, v0 = limit_values(est.d0, est.d1, est.a2, summary)
     values = {
-        "a1": traces.a1,
-        "a2": traces.a2,
-        "a3": traces.a3,
-        "a4": traces.a4,
-        "delta0": deltas.d0,
-        "delta1": deltas.d1,
-        "delta2": deltas.d2,
-        "delta3": deltas.d3,
+        "a1": est.a1,
+        "a2": est.a2,
+        "a3": est.a3,
+        "a4": est.a4,
+        "delta0": est.d0,
+        "delta1": est.d1,
+        "delta2": est.d2,
+        "delta3": est.d3,
         "u0": u0,
         "v0": v0,
         "n1": summary.n1,

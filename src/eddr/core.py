@@ -124,6 +124,8 @@ def _check_psd(a: np.ndarray, name: str) -> None:
 def _power_stats(a: np.ndarray, v: np.ndarray) -> tuple:
     """tr(a), tr(a^2), then v' a^k v for k = 0..3, for a symmetric ``a``.
 
+    Used for p <= N and by :meth:`TwoSampleSummary.from_covariance`; the
+    dual branch of :func:`pooled_summary` skips the last form.
     Matrix-vector products only: tr(a^3) and tr(a^4) need the product
     ``a @ a``, which :class:`TwoSampleSummary` forms on first read.  A
     statistic that overflows double precision comes out infinite or NaN;
@@ -334,8 +336,8 @@ def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSu
         stats = _power_stats(base, d)
     else:
         base, w = _dual_gram(c, d)
-        t1, t2, q1, q2, q3, _ = _power_stats(base, w)
-        stats = (t1, t2, d @ d, q1, q2, q3)
+        av = base @ w
+        stats = (np.trace(base), np.vdot(base, base), d @ d, w @ w, w @ av, av @ av)
     return TwoSampleSummary(n1, n2, p, xbar1, xbar2, *stats, base)
 
 

@@ -20,7 +20,9 @@ entries already carry the 1/n decay.  Consequently ``tau2 = grad' theta
 grad`` is directly a variance on the error scale, with no additional n
 factor applied anywhere.
 
-The law takes ``theta`` as a matrix; two are provided:
+The law takes ``theta`` as a matrix; two are provided, each built from
+one :class:`~eddr.estimators.Estimates` (what
+:func:`~eddr.estimators.estimate_all` returns) and the sample sizes:
 
 * :func:`statistic_covariance` — the covariance of the conditional
   statistics (U, V) themselves, from :func:`h_u`, :func:`h_v`,
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dims, std_normal_cdf, std_normal_pdf
-from .estimators import DeltaEstimates, TraceEstimates
+from .estimators import Estimates
 from .exceptions import CalibrationInfeasibleError
 from .wishart import _quad_form_cov, var_delta1
 
@@ -110,24 +112,24 @@ def h_uv(delta2: float, a3: float, dims: Dims) -> float:
     return -2 * delta2 / n2 - dims.n_total * (n1 - n2) * p * a3 / (n1 * n2) ** 2
 
 
-def statistic_covariance(d: DeltaEstimates, t: TraceEstimates, dims: Dims) -> np.ndarray:
+def statistic_covariance(est: Estimates, dims: Dims) -> np.ndarray:
     """Covariance of the conditional statistics (U, V) from the h_* moments."""
-    cross = h_uv(d.d2, t.a3, dims)
+    cross = h_uv(est.d2, est.a3, dims)
     return np.array(
-        [[h_u(d.d1, t.a2, dims), cross], [cross, h_v(d.d3, t.a4, dims)]]
+        [[h_u(est.d1, est.a2, dims), cross], [cross, h_v(est.d3, est.a4, dims)]]
     )
 
 
-def estimator_covariance(d: DeltaEstimates, t: TraceEstimates, dims: Dims) -> np.ndarray:
+def estimator_covariance(est: Estimates, dims: Dims) -> np.ndarray:
     """Covariance of the plug-in location/scale pair (u0_hat, v0_hat).
 
     Built from the exact second moments of the re-centred estimators:
     Var[u0_hat] is a quarter of the squared-distance estimator's
     variance, and the cross term is minus half their covariance.
     """
-    vu = _quad_form_cov(dims, d.d1, t.a2) / 4.0
-    vv = var_delta1(dims, d.d1, d.d3, t.a2, t.a4)
-    cross = -_quad_form_cov(dims, d.d2, t.a3) / 2.0
+    vu = _quad_form_cov(dims, est.d1, est.a2) / 4.0
+    vv = var_delta1(dims, est.d1, est.d3, est.a2, est.a4)
+    cross = -_quad_form_cov(dims, est.d2, est.a3) / 2.0
     return np.array([[vu, cross], [cross, vv]])
 
 

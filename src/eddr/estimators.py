@@ -21,10 +21,12 @@ checks can reuse them.  Two functions apply them to the power statistics
 a summary holds (see :class:`~eddr.core.TwoSampleSummary`):
 :func:`estimate_low` gives a1, a2, Delta_0 and Delta_1, all the M1
 cut-off needs, and :func:`estimate_all` adds a3, a4, Delta_2 and
-Delta_3.  Every summary has n1, n2 >= 2, so n >= 2, which is all
-:func:`estimate_low` needs; :func:`estimate_all` needs n >= 7.  Both
-raise :class:`~eddr.exceptions.CalibrationInfeasibleError` when an
-estimate is not finite.
+Delta_3 and returns all eight as one :class:`Estimates`, the value the
+covariance builders of :mod:`eddr.error_model` read.  Every summary has
+n1, n2 >= 2, so n >= 2, which is all :func:`estimate_low` needs;
+:func:`estimate_all` needs n >= 7.  Both raise
+:class:`~eddr.exceptions.CalibrationInfeasibleError` when an estimate is
+not finite.
 """
 
 from __future__ import annotations
@@ -39,19 +41,13 @@ from .exceptions import CalibrationInfeasibleError, DimensionError
 
 
 @dataclass(frozen=True)
-class TraceEstimates:
-    """Estimates of tr(Sigma^i)/p for i = 1..4."""
+class Estimates:
+    """The eight plug-in estimates: a_k = tr(Sigma^k)/p, d_k = delta' Sigma^k delta."""
 
     a1: float
     a2: float
     a3: float
     a4: float
-
-
-@dataclass(frozen=True)
-class DeltaEstimates:
-    """Estimates of delta' Sigma^i delta for i = 0..3."""
-
     d0: float
     d1: float
     d2: float
@@ -153,14 +149,13 @@ def estimate_low(summary: TwoSampleSummary) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def estimate_all(summary: TwoSampleSummary):
+def estimate_all(summary: TwoSampleSummary) -> Estimates:
     """All eight estimates: those of :func:`estimate_low`, then a3, a4, delta2 and delta3.
 
     Requires n >= 7.  Each kernel runs once, in dependency order, and each
     result is checked as soon as it exists, so an overflow names the first
-    estimate it reaches.  Returns ``(TraceEstimates, DeltaEstimates)``;
-    raises :class:`CalibrationInfeasibleError` if an estimate is not
-    finite.
+    estimate it reaches.  Returns one :class:`Estimates`; raises
+    :class:`CalibrationInfeasibleError` if an estimate is not finite.
     """
     s = summary
     n, n1, n2, p = s.n, s.n1, s.n2, s.p
@@ -171,5 +166,4 @@ def estimate_all(summary: TwoSampleSummary):
     a4 = _finite("a4", a4_from_traces(s.t1, s.t2, s.t3, s.t4, n, p))
     d2 = _finite("delta2", delta2_from_stats(s.q2, d1, a1, a2, a3, n, n1, n2, p))
     d3 = _finite("delta3", delta3_from_stats(s.q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p))
-    return (TraceEstimates(a1=a1, a2=a2, a3=a3, a4=a4),
-            DeltaEstimates(d0=d0, d1=d1, d2=d2, d3=d3))
+    return Estimates(a1, a2, a3, a4, d0, d1, d2, d3)

@@ -283,12 +283,12 @@ class TestCalibrate:
         x1 = rng.standard_normal((DIMS.n1, p)) + np.sqrt(5.0 / p)
         x2 = rng.standard_normal((DIMS.n2, p))
         self.summary = pooled_summary(x1, x2)
-        self.t, self.d = estimate_all(self.summary)
+        self.est = estimate_all(self.summary)
 
     def test_m1_route(self):
         out = calibrate(self.summary, CutoffRequest.m1(0.3))
         assert out.law is None
-        assert out.limit == LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
+        assert out.limit == LimitParams(*limit_values(self.est.d0, self.est.d1, self.est.a2, DIMS))
         assert expected_error(out.limit, out.c) == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("p", [16, 200])  # N = 64: p <= N and p > N
@@ -306,7 +306,7 @@ class TestCalibrate:
     def test_m2_route_reports_law(self):
         out = calibrate(self.summary, CutoffRequest.m2_logit(0.2, 0.1))
         assert out.law is not None
-        assert out.limit == LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
+        assert out.limit == LimitParams(*limit_values(self.est.d0, self.est.d1, self.est.a2, DIMS))
         assert out.law.e0 == pytest.approx(0.2, abs=1e-12)  # anchored at the bound
         assert 0.0 < out.gamma < 0.2
         assert out.c == m1_cutoff(out.limit, out.gamma).c
@@ -317,8 +317,8 @@ class TestCalibrate:
         out_fp = calibrate(self.summary, req)
         # the self-consistent cut-off is less conservative here
         assert out_fp.c > out_eu.c
-        lp = LimitParams(*limit_values(self.d.d0, self.d.d1, self.t.a2, DIMS))
-        theta = estimator_covariance(self.d, self.t, DIMS)
+        lp = LimitParams(*limit_values(self.est.d0, self.est.d1, self.est.a2, DIMS))
+        theta = estimator_covariance(self.est, DIMS)
         law = asymptotic_law(lp, theta, out_fp.c)
         res = m2_cutoff(lp, law, req)
         assert res.c == pytest.approx(out_fp.c, rel=1e-8)
@@ -365,8 +365,7 @@ class TestCalibrate:
         assert sim.run_simulation(cfg).n_excluded == 0
         assert len(seen) == 50
         for summary, res in seen:
-            traces, deltas = estimate_all(summary)
-            theta = estimator_covariance(deltas, traces, summary)
+            theta = estimator_covariance(estimate_all(summary), summary)
             again = m2_cutoff(res.limit, asymptotic_law(res.limit, theta, res.c), req).c
             assert abs(again - res.c) <= 1e-9 * (math.sqrt(res.limit.v0) + abs(res.c))
 

@@ -20,7 +20,7 @@ from eddr.error_model import (
     limit_values,
     statistic_covariance,
 )
-from eddr.estimators import DeltaEstimates, TraceEstimates
+from eddr.estimators import Estimates
 from eddr.exceptions import CalibrationInfeasibleError
 from eddr.wishart import _sample_wishart_batch, var_delta1
 
@@ -29,31 +29,27 @@ PHI_M125 = 0.105649773666855257688772764026
 DIMS = Dims(n1=32, n2=32, p=64)
 
 
-def traces(a1=1.0, a2=1.0, a3=1.0, a4=1.0):
-    return TraceEstimates(a1=a1, a2=a2, a3=a3, a4=a4)
+def estimates(a1=1.0, a2=1.0, a3=1.0, a4=1.0, d0=5.0, d1=5.0, d2=5.0, d3=5.0):
+    return Estimates(a1=a1, a2=a2, a3=a3, a4=a4, d0=d0, d1=d1, d2=d2, d3=d3)
 
 
-def deltas(d0=5.0, d1=5.0, d2=5.0, d3=5.0):
-    return DeltaEstimates(d0=d0, d1=d1, d2=d2, d3=d3)
-
-
-def limits(d, t, dims):
-    return LimitParams(*limit_values(d.d0, d.d1, t.a2, dims))
+def limits(e, dims):
+    return LimitParams(*limit_values(e.d0, e.d1, e.a2, dims))
 
 
 class TestLimitParams:
     def test_hand_example(self):
-        lp = limits(deltas(), traces(), DIMS)
+        lp = limits(estimates(), DIMS)
         assert lp.u0 == pytest.approx(-2.5)
         assert lp.v0 == pytest.approx(9.0)  # 5 + 64*64/1024
 
     def test_zero_distance(self):
-        lp = limits(deltas(d0=0.0), traces(), DIMS)
+        lp = limits(estimates(d0=0.0), DIMS)
         assert lp.u0 == 0.0
 
     def test_infeasible_scale_raises(self):
         with pytest.raises(CalibrationInfeasibleError):
-            limits(deltas(d1=-10.0), traces(a2=0.01), DIMS)
+            limits(estimates(a2=0.01, d1=-10.0), DIMS)
 
     def test_no_silent_clamp(self):
         with pytest.raises(CalibrationInfeasibleError):
@@ -98,17 +94,16 @@ class TestAsymptoticLaw:
         # design with h_u = h_v = s and h_uv = 0
         dims = Dims(n1=4, n2=4, p=1)
         s_val = 0.5
-        t = TraceEstimates(a1=1.0, a2=0.0, a3=0.0, a4=0.0)
-        d = DeltaEstimates(d0=2.0, d1=4 * s_val, d2=0.0, d3=s_val / 2)
-        lp = limits(d, t, dims)
-        law = asymptotic_law(lp, statistic_covariance(d, t, dims), c=0.3)
+        e = Estimates(a1=1.0, a2=0.0, a3=0.0, a4=0.0, d0=2.0, d1=4 * s_val, d2=0.0, d3=s_val / 2)
+        lp = limits(e, dims)
+        law = asymptotic_law(lp, statistic_covariance(e, dims), c=0.3)
         assert np.allclose(law.theta, s_val * np.eye(2))
         assert law.tau2 == pytest.approx(s_val * float(law.grad @ law.grad), rel=1e-12)
 
     def test_centered_point(self):
-        t, d = traces(), deltas()
-        lp = limits(d, t, DIMS)
-        law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=-lp.u0)
+        e = estimates()
+        lp = limits(e, DIMS)
+        law = asymptotic_law(lp, statistic_covariance(e, DIMS), c=-lp.u0)
         assert law.e0 == pytest.approx(0.5, abs=1e-14)
         assert law.grad[1] == pytest.approx(0.0, abs=1e-16)
         expected = law.theta[0, 0] * std_normal_pdf(0.0) ** 2 / lp.v0
@@ -117,10 +112,10 @@ class TestAsymptoticLaw:
     def test_gradient_matches_finite_differences(self):
         from eddr.core import std_normal_cdf
 
-        t, d = traces(), deltas()
-        lp = limits(d, t, DIMS)
+        e = estimates()
+        lp = limits(e, DIMS)
         c = 0.7
-        law = asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=c)
+        law = asymptotic_law(lp, statistic_covariance(e, DIMS), c=c)
 
         def f(u, v):
             return std_normal_cdf((u + c) / math.sqrt(v))
@@ -133,51 +128,49 @@ class TestAsymptoticLaw:
         assert law.grad[1] == pytest.approx(fd_v, rel=1e-5)
 
     def test_degenerate_error_rejected(self):
-        t, d = traces(), deltas()
-        lp = limits(d, t, DIMS)
+        e = estimates()
+        lp = limits(e, DIMS)
         with pytest.raises(CalibrationInfeasibleError):
-            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=1e6)
+            asymptotic_law(lp, statistic_covariance(e, DIMS), c=1e6)
 
     def test_negative_variance_rejected(self):
         # a huge positive cross estimate makes the plug-in matrix indefinite
-        t = traces(a2=0.01, a3=0.0, a4=0.01)
-        d = deltas(d0=5.0, d1=0.5, d2=50.0, d3=0.01)
-        lp = limits(d, t, DIMS)
+        e = estimates(a2=0.01, a3=0.0, a4=0.01, d0=5.0, d1=0.5, d2=50.0, d3=0.01)
+        lp = limits(e, DIMS)
         with pytest.raises(CalibrationInfeasibleError):
-            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0)
+            asymptotic_law(lp, statistic_covariance(e, DIMS), c=0.0)
 
     def test_nan_variance_rejected(self):
-        t = traces(a3=math.nan)
-        d = deltas()
-        lp = limits(d, t, DIMS)
+        e = estimates(a3=math.nan)
+        lp = limits(e, DIMS)
         with pytest.raises(CalibrationInfeasibleError):
-            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0)
+            asymptotic_law(lp, statistic_covariance(e, DIMS), c=0.0)
 
     def test_unknown_flags_rejected(self):
         # the law has no options: the logit-scale spread belongs to M2's cut-off
-        t, d = traces(), deltas()
-        lp = limits(d, t, DIMS)
+        e = estimates()
+        lp = limits(e, DIMS)
         with pytest.raises(TypeError):
-            asymptotic_law(lp, statistic_covariance(d, t, DIMS), c=0.0, logit_variance="delta")
+            asymptotic_law(lp, statistic_covariance(e, DIMS), c=0.0, logit_variance="delta")
         assert list(inspect.signature(asymptotic_law).parameters) == ["lp", "theta", "c"]
         assert [f.name for f in dataclasses.fields(AsymptoticLaw)] == ["e0", "tau2", "theta", "grad"]
 
 
 class TestThetaSources:
     def test_statistic_source_entries(self):
-        t, d = traces(), deltas()
-        theta = statistic_covariance(d, t, DIMS)
-        assert theta[0, 0] == pytest.approx(h_u(d.d1, t.a2, DIMS))
-        assert theta[1, 1] == pytest.approx(h_v(d.d3, t.a4, DIMS))
-        assert theta[0, 1] == pytest.approx(h_uv(d.d2, t.a3, DIMS))
+        e = estimates()
+        theta = statistic_covariance(e, DIMS)
+        assert theta[0, 0] == pytest.approx(h_u(e.d1, e.a2, DIMS))
+        assert theta[1, 1] == pytest.approx(h_v(e.d3, e.a4, DIMS))
+        assert theta[0, 1] == pytest.approx(h_uv(e.d2, e.a3, DIMS))
         assert theta[0, 1] == theta[1, 0]
 
     def test_estimator_source_entries(self):
-        t, d = traces(a3=0.7, a4=1.6), deltas()
-        theta = estimator_covariance(d, t, DIMS)
+        e = estimates(a3=0.7, a4=1.6)
+        theta = estimator_covariance(e, DIMS)
         # N = 64, n1 n2 = 1024, p = 64: Var[d'd]/4 and -Cov[d'd, d'Sd]/2
         assert theta[0, 0] == pytest.approx((4 * 64 * 5 / 1024 + 2 * 64**2 * 64 / 1024**2) / 4)
-        assert theta[1, 1] == pytest.approx(var_delta1(DIMS, d.d1, d.d3, t.a2, t.a4))
+        assert theta[1, 1] == pytest.approx(var_delta1(DIMS, e.d1, e.d3, e.a2, e.a4))
         assert theta[0, 1] == pytest.approx(
             -(4 * 64 * 5 / 1024 + 2 * 64**2 * 64 * 0.7 / 1024**2) / 2
         )
@@ -203,21 +196,21 @@ class TestThetaSources:
         se = float(((d0 - d0.mean()) * (d1 - d1.mean())).std(ddof=1)) / np.sqrt(draws) / 2.0
         a = [float(np.mean(lam**k)) for k in range(1, 5)]
         delta = [float(mu @ (lam**k * mu)) for k in range(4)]
-        theta = estimator_covariance(DeltaEstimates(*delta), TraceEstimates(*a), dims)
+        theta = estimator_covariance(Estimates(*a, *delta), dims)
         assert abs(theta[0, 1] - emp) < 5 * se
 
     def test_estimator_variance_dominates(self):
         # the plug-in pair fluctuates more than the conditional statistics
-        t, d = traces(), deltas()
-        stat = statistic_covariance(d, t, DIMS)
-        est = estimator_covariance(d, t, DIMS)
+        e = estimates()
+        stat = statistic_covariance(e, DIMS)
+        est = estimator_covariance(e, DIMS)
         assert est[0, 0] > stat[0, 0]
         assert est[1, 1] > stat[1, 1]
 
     def test_law_uses_requested_source(self):
-        t, d = traces(), deltas()
-        lp = limits(d, t, DIMS)
-        stat, est = statistic_covariance(d, t, DIMS), estimator_covariance(d, t, DIMS)
+        e = estimates()
+        lp = limits(e, DIMS)
+        stat, est = statistic_covariance(e, DIMS), estimator_covariance(e, DIMS)
         law_s = asymptotic_law(lp, stat, c=0.5)
         law_e = asymptotic_law(lp, est, c=0.5)
         assert law_e.tau2 > law_s.tau2

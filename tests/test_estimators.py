@@ -5,6 +5,7 @@ estimators against the symbolic oracle, and small Monte Carlo sanity
 checks (the full-size calibration lives in the acceptance suite).
 """
 
+from dataclasses import astuple, fields
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from eddr.estimators import (
     delta1_from_stats,
     delta2_from_stats,
     delta3_from_stats,
+    Estimates,
     estimate_all,
     estimate_low,
 )
@@ -63,7 +65,7 @@ class TestTraceEstimators:
 
     def test_a4_zero_matrix(self):
         s = summary_with(np.zeros((3, 3)), np.zeros(3), np.zeros(3), 5, 6)
-        assert estimate_all(s)[0].a4 == 0.0
+        assert estimate_all(s).a4 == 0.0
 
     def test_minimum_sample_sizes(self):
         with pytest.raises(DimensionError, match="n1, n2 >= 2"):  # n = 1: no summary
@@ -90,7 +92,7 @@ class TestDeltaEstimators:
         # equal means and S = I: only the centring terms survive
         p, n1, n2 = 2, 5, 5
         s = summary_with(np.eye(p), np.ones(p), np.ones(p), n1, n2)
-        traces, deltas = estimate_all(s)
+        est = estimate_all(s)
         n = Fraction(s.n)
         pf, n_tot = Fraction(p), Fraction(n1 + n2)
         a1f, a2f, a3f = Fraction(1), Fraction(0), Fraction(0)
@@ -104,7 +106,7 @@ class TestDeltaEstimators:
         d1f = Fraction(0) - n_tot * pf / Fraction(n1 * n2) * a2f
         centre = n_tot * pf / Fraction(n1 * n2) * ((n + 1) / n * a3f + pf / n * a1f * a2f)
         expected = (Fraction(0) - pf / n * a1f * d1f - centre) / (1 + 1 / n)
-        assert deltas.d2 == pytest.approx(float(expected), rel=1e-12)
+        assert est.d2 == pytest.approx(float(expected), rel=1e-12)
 
     def test_homogeneity_degrees(self, rng):
         x1 = rng.standard_normal((9, 4)) + 1.0
@@ -112,13 +114,12 @@ class TestDeltaEstimators:
         t = 1.7
         s1 = pooled_summary(x1, x2)
         s2 = pooled_summary(t * x1, t * x2)
-        tr1, de1 = estimate_all(s1)
-        tr2, de2 = estimate_all(s2)
-        for i, (v1, v2) in enumerate(zip((tr1.a1, tr1.a2, tr1.a3, tr1.a4),
-                                         (tr2.a1, tr2.a2, tr2.a3, tr2.a4)), start=1):
+        e1, e2 = estimate_all(s1), estimate_all(s2)
+        for i, (v1, v2) in enumerate(zip((e1.a1, e1.a2, e1.a3, e1.a4),
+                                         (e2.a1, e2.a2, e2.a3, e2.a4)), start=1):
             assert v2 == pytest.approx(t ** (2 * i) * v1, rel=1e-9)
-        for i, (v1, v2) in enumerate(zip((de1.d0, de1.d1, de1.d2, de1.d3),
-                                         (de2.d0, de2.d1, de2.d2, de2.d3))):
+        for i, (v1, v2) in enumerate(zip((e1.d0, e1.d1, e1.d2, e1.d3),
+                                         (e2.d0, e2.d1, e2.d2, e2.d3))):
             assert v2 == pytest.approx(t ** (2 * i + 2) * v1, rel=1e-9)
 
     def test_rotation_invariance(self, rng):
@@ -127,10 +128,7 @@ class TestDeltaEstimators:
         q = random_orthogonal(5, rng)
         s1 = pooled_summary(x1, x2)
         s2 = pooled_summary(x1 @ q.T, x2 @ q.T)
-        t1, d1 = estimate_all(s1)
-        t2, d2 = estimate_all(s2)
-        for v1, v2 in zip((t1.a1, t1.a2, t1.a3, t1.a4, d1.d0, d1.d1, d1.d2, d1.d3),
-                          (t2.a1, t2.a2, t2.a3, t2.a4, d2.d0, d2.d1, d2.d2, d2.d3)):
+        for v1, v2 in zip(astuple(estimate_all(s1)), astuple(estimate_all(s2))):
             assert v2 == pytest.approx(v1, rel=1e-9)
 
     def test_estimate_all_matches_individual_ops(self, rng):
@@ -148,10 +146,20 @@ class TestDeltaEstimators:
             d1 = delta1_from_stats(s.q1, a2, n1, n2, p)
             d2 = delta2_from_stats(s.q2, d1, a1, a2, a3, n, n1, n2, p)
             d3 = delta3_from_stats(s.q3, d1, d2, a1, a2, a3, a4, n, n1, n2, p)
-            traces, deltas = estimate_all(s)
-            assert (traces.a1, traces.a2, deltas.d0, deltas.d1) == estimate_low(s)
-            assert (traces.a1, traces.a2, traces.a3, traces.a4) == (a1, a2, a3, a4)
-            assert (deltas.d0, deltas.d1, deltas.d2, deltas.d3) == (d0, d1, d2, d3)
+            est = estimate_all(s)
+            assert (est.a1, est.a2, est.d0, est.d1) == estimate_low(s)
+            assert (est.a1, est.a2, est.a3, est.a4) == (a1, a2, a3, a4)
+            assert (est.d0, est.d1, est.d2, est.d3) == (d0, d1, d2, d3)
+
+    def test_estimate_all_is_one_value(self, rng):
+        # one frozen value holds all eight, traces first, in the paper's order
+        x1 = rng.standard_normal((8, 30)) + 0.8
+        x2 = rng.standard_normal((9, 30))
+        s = pooled_summary(x1, x2)
+        est = estimate_all(s)
+        assert type(est) is Estimates
+        assert [f.name for f in fields(est)] == ["a1", "a2", "a3", "a4", "d0", "d1", "d2", "d3"]
+        assert (est.a1, est.a2, est.d0, est.d1) == estimate_low(s)
 
 
 @pytest.fixture(scope="module")

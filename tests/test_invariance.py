@@ -53,8 +53,7 @@ def quantities(x1, x2, query):
     if isinstance(estimates, type):
         out["estimate_all"] = estimates
     else:
-        for est in estimates:
-            out.update({f"{type(est).__name__}.{k}": v for k, v in asdict(est).items()})
+        out.update(asdict(estimates))
     for request in REQUESTS:
         out[request.variant.value] = outcome(lambda: calibrate(summary, request).c)
     return out

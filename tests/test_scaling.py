@@ -38,7 +38,7 @@ def summary_of(design, s):
 
 def estimates(design, s):
     summary = summary_of(design, s)
-    return summary, *estimate_all(summary)
+    return summary, estimate_all(summary)
 
 
 def calibrated(design, s, request):
@@ -55,21 +55,21 @@ def feasible(design, request):
 @DETERMINISTIC
 @given(designs, scales)
 def test_estimates_scale_to_their_degree(design, s):
-    _, t1, d1 = estimates(design, 1.0)
-    _, ts, ds = estimates(design, s)
-    for k, (a, b) in enumerate(zip((t1.a1, t1.a2, t1.a3, t1.a4), (ts.a1, ts.a2, ts.a3, ts.a4)), 1):
+    _, e1 = estimates(design, 1.0)
+    _, es = estimates(design, s)
+    for k, (a, b) in enumerate(zip((e1.a1, e1.a2, e1.a3, e1.a4), (es.a1, es.a2, es.a3, es.a4)), 1):
         assert b == pytest.approx(s ** (2 * k) * a, rel=REL)
-    for k, (a, b) in enumerate(zip((d1.d0, d1.d1, d1.d2, d1.d3), (ds.d0, ds.d1, ds.d2, ds.d3))):
+    for k, (a, b) in enumerate(zip((e1.d0, e1.d1, e1.d2, e1.d3), (es.d0, es.d1, es.d2, es.d3))):
         assert b == pytest.approx(s ** (2 * k + 2) * a, rel=REL)
 
 
 @DETERMINISTIC
 @given(designs, scales)
 def test_estimator_covariance_scales_by_s4_s6_s8(design, s):
-    dims, t1, d1 = estimates(design, 1.0)
-    _, ts, ds = estimates(design, s)
-    theta1 = estimator_covariance(d1, t1, dims)
-    thetas = estimator_covariance(ds, ts, dims)
+    dims, e1 = estimates(design, 1.0)
+    _, es = estimates(design, s)
+    theta1 = estimator_covariance(e1, dims)
+    thetas = estimator_covariance(es, dims)
     degrees = np.array([[4, 6], [6, 8]])
     assert np.allclose(thetas, s**degrees * theta1, rtol=REL, atol=0.0)
 

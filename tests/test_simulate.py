@@ -221,8 +221,8 @@ class TestTrialMechanics:
             rng = np.random.default_rng(31)
             x1 = pop.sample_group(pop.mu1, 9, rng)
             x2 = pop.sample_group(pop.mu2, 12, rng)
-            traces, deltas = estimate_all(pooled_summary(x1, x2))
-            lp = LimitParams(*limit_values(deltas.d0, deltas.d1, traces.a2, Dims(9, 12, p)))
+            est = estimate_all(pooled_summary(x1, x2))
+            lp = LimitParams(*limit_values(est.d0, est.d1, est.a2, Dims(9, 12, p)))
             assert fast == pytest.approx(m1_cutoff(lp, 0.2).c, rel=1e-12)
 
     @pytest.mark.parametrize("p", [10, 40])  # N = 23: primal and dual statistics
