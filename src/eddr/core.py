@@ -27,12 +27,6 @@ from .threads import share
 PI1 = 1
 PI2 = 2
 
-#: Most rows in one block of work queued for the helper thread
-#: (:func:`eddr.threads.share`): a group's draw in :mod:`eddr.simulate` and
-#: the dual Gram matrix of :func:`pooled_summary` are cut into such blocks.
-BLOCK_ROWS = 128
-
-
 @dataclass(frozen=True)
 class Dims:
     """Two-group design sizes (n1, n2, p), checked here and nowhere else.
@@ -125,7 +119,7 @@ def _power_stats(a: np.ndarray, v: np.ndarray) -> tuple:
     """tr(a), tr(a^2), then v' a^k v for k = 0..3, for a symmetric ``a``.
 
     Used for p <= N and by :meth:`TwoSampleSummary.from_covariance`; the
-    dual branch of :func:`pooled_summary` skips the last form.
+    dual branch of :func:`pooled_summary` does not call it.
     Matrix-vector products only: tr(a^3) and tr(a^4) need the product
     ``a @ a``, which :class:`TwoSampleSummary` forms on first read.  A
     statistic that overflows double precision comes out infinite or NaN;
@@ -247,24 +241,16 @@ def _as_observations(x) -> np.ndarray:
 
 
 def _dual_gram(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(c @ c.T, c @ d)`` from fixed blocks of rows, the same bits with or without a helper.
+    """``(c @ c.T, c @ d)`` from the two row halves, the same bits with or without a helper.
 
-    The rows are split at h = N // 2.  Each diagonal block is one symmetric
-    rank update of its half.  The upper off-diagonal block is cut into
-    ceil(h / BLOCK_ROWS) panels of nearly equal rows, each formed and
-    mirrored below the diagonal by one task.  These tasks, largest first
-    by entries formed, then ``c @ d``, are shared with the helper of
-    :func:`eddr.threads.share`, if any.  With N <= 2 * BLOCK_ROWS the
-    off-diagonal block is one panel, so ``G`` is the three products of the
-    two halves.
+    The rows are split at h = N // 2.  ``G`` is three products of the two
+    halves, each one task of :func:`eddr.threads.share`: the off-diagonal
+    block ``c[:h] @ c[h:].T``, which the same task mirrors below the
+    diagonal, then the symmetric rank update of each half, bottom first.
+    ``c @ d`` is the last task.
     """
     n = c.shape[0]
-    h = n // 2
-    k = -(-h // BLOCK_ROWS)
-    cuts = [h * i // k for i in range(k + 1)]
-    top, bottom = slice(0, h), slice(h, n)
-    panels = [(slice(a, b), bottom) for a, b in zip(cuts, cuts[1:])]
-    blocks = [(bottom, bottom), (top, top), *panels]
+    top, bottom = slice(0, n // 2), slice(n // 2, n)
     g = np.empty((n, n))
 
     def product(r: slice, s: slice) -> None:
@@ -272,12 +258,8 @@ def _dual_gram(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if r != s:
             g[s, r] = g[r, s].T
 
-    def entries(block: tuple) -> int:
-        r, s = block
-        return (r.stop - r.start) * (s.stop - s.start) // (2 if r == s else 1)
-
-    tasks = [partial(product, *block) for block in sorted(blocks, key=entries, reverse=True)]
-    *_, w = share([*tasks, partial(np.matmul, c, d)])
+    blocks = [(top, bottom), (bottom, bottom), (top, top)]
+    *_, w = share([*(partial(product, *block) for block in blocks), partial(np.matmul, c, d)])
     return g, w
 
 
@@ -305,9 +287,9 @@ def pooled_summary(x1, x2, *, _stacked: np.ndarray | None = None) -> TwoSampleSu
     The groups are checked first, on this thread: group 1's errors come
     before group 2's, and both before a disagreement on p.  The rest is
     split into fixed tasks for :func:`eddr.threads.share`: each group's
-    mean, centring and scaling is one task, and when p > N each diagonal
-    block and off-diagonal panel of ``G`` (see :func:`_dual_gram`) and
-    ``C d`` is one more.  No task depends on the core count or on the
+    mean, centring and scaling is one task, and when p > N the three
+    products of ``G``'s two row halves (see :func:`_dual_gram`) and
+    ``C d`` are four more.  No task depends on the core count or on the
     thread that runs it, so on one BLAS thread neither do the bits of the
     summary.
 

@@ -49,7 +49,8 @@ block takes the freed core.  The caller and the helper take fixed tasks
 from one queue (:func:`eddr.threads.share`): the two eigenproblems of a
 population and, in a chunk whose groups exceed ``BLOCK_ROWS`` rows, each
 substream block of a draw, each group's centring in
-:func:`pooled_summary` and each block of its dual Gram matrix.  A task
+:func:`pooled_summary` and each of the three half products of its dual
+Gram matrix.  A task
 computes the same bits whichever thread runs it, so records are also
 bit-identical across BLAS thread counts and with the helper on or off.
 Where no OpenBLAS thread setter is found, nothing is pinned and the bits
@@ -69,8 +70,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import CutoffRequest, CutoffVariant, calibrate
-from .core import (BLOCK_ROWS, Dims, TwoSampleSummary, _interior, cholesky, pooled_summary,
-                   std_normal_cdf)
+from .core import Dims, TwoSampleSummary, _interior, cholesky, pooled_summary, std_normal_cdf
 # not called here: the traced benchmark (perfbench/sims.py) wraps
 # eddr.simulate.estimate_all by name
 from .estimators import _ALL_MIN_N, estimate_all  # noqa: F401
@@ -90,6 +90,10 @@ DESIGN_SEPARATION = 5.0
 #: Largest tolerated fraction of trials lost to calibration infeasibility.
 MAX_EXCLUDED_FRACTION = 1e-3
 
+#: Rows in one substream block of a group's draw (:meth:`PopulationDesign.sample_group`),
+#: and the group size above which a chunk starts the helper thread.
+BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -97,7 +101,8 @@ class SimConfig:
 
     ``reps``, ``seed``, ``bandwidth`` and ``workers`` must be integers
     (anything :func:`operator.index` accepts) and are stored as Python
-    ``int``; the sizes are checked by :class:`~eddr.core.Dims`.  The
+    ``int``; the sizes ``p``, ``n1`` and ``n2`` are checked by
+    :class:`~eddr.core.Dims` and stored as the ``int`` it returns.  The
     cut-off policy and its knobs are all in ``request``; an M2 request
     needs the n1 + n2 - 2 >= 7 of :func:`~eddr.estimators.estimate_all`.
     """
@@ -121,9 +126,11 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.reps < 1:  # before the sizes: `simulate --reps 0` is a usage error on any grid
             raise ValueError("reps must be positive")
-        n = Dims(self.n1, self.n2, self.p).n  # raises DimensionError for bad sizes
-        if self.request.variant != CutoffVariant.M1 and n < _ALL_MIN_N:
-            raise DimensionError(f"M2 calibration requires n >= {_ALL_MIN_N}, got n = {n}")
+        dims = Dims(self.n1, self.n2, self.p)  # raises DimensionError for bad sizes
+        for name in ("n1", "n2", "p"):
+            object.__setattr__(self, name, getattr(dims, name))
+        if self.request.variant != CutoffVariant.M1 and dims.n < _ALL_MIN_N:
+            raise DimensionError(f"M2 calibration requires n >= {_ALL_MIN_N}, got n = {dims.n}")
         if not abs(self.rho) < 1:
             raise ValueError("rho must satisfy |rho| < 1")
         if self.bandwidth < 0:

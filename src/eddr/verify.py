@@ -34,6 +34,9 @@ from .wishart import (
 #: Draws per Wishart batch of the mc suite.
 _BATCH = 20_000
 
+#: Largest |mean - exact| of the mc suite, in Monte Carlo standard errors.
+SE_MULTIPLE = 5.0
+
 
 class VerifyRow(NamedTuple):
     name: str
@@ -91,9 +94,7 @@ def _wishart_statistics(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     }
 
 
-def mc_moment_suite(
-    p: int, n: int, draws: int, seed: int, se_multiple: float = 5.0,
-) -> list[VerifyRow]:
+def mc_moment_suite(p: int, n: int, draws: int, seed: int) -> list[VerifyRow]:
     """All seven Wishart moments and both quadratic-form moments vs Monte Carlo."""
     rng = np.random.default_rng(seed)
     q = _random_query(p, n, rng)
@@ -133,7 +134,7 @@ def mc_moment_suite(
         rows.append(
             VerifyRow(
                 name=label,
-                passed=z <= se_multiple,
+                passed=z <= SE_MULTIPLE,
                 detail=f"mc={mean:.6g} exact={targets[k]:.6g} |z|={z:.2f} (draws={draws})",
             )
         )

@@ -31,6 +31,7 @@ Wishart sampler with an explicit random stream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -76,7 +77,11 @@ def trace_invariants(sigma, a, b) -> TraceInvariants:
 
 @dataclass(frozen=True)
 class MomentQuery:
-    """Degrees of freedom, scale matrix, and the two symmetric weights."""
+    """Degrees of freedom, scale matrix, and the two symmetric weights.
+
+    ``n`` must be a positive integer (anything :func:`operator.index`
+    accepts) and is stored as a Python ``int``.
+    """
 
     n: int
     sigma: np.ndarray
@@ -90,8 +95,13 @@ class MomentQuery:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if self.n < 1:
-            raise ValueError("degrees of freedom must be a positive integer")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = 0
+        if n < 1:
+            raise ValueError(f"degrees of freedom must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         p = sigma.shape[0]
         for name, mat in (("sigma", sigma), ("a", a), ("b", b)):
             if mat.shape != (p, p):

@@ -97,6 +97,57 @@ def _double_factorial_odd(m: int) -> int:
     return out
 
 
+class OraclePoly:
+    """A Poly under sum, difference, product, integer power and division by exact scalars.
+
+    Enough arithmetic for the estimators' scalar kernels to run on oracle
+    polynomials unchanged; a plain int or Fraction operand is a constant
+    polynomial, and every coefficient stays exact.
+    """
+
+    __slots__ = ("terms", "nvars")
+
+    def __init__(self, terms: Poly, nvars: int):
+        self.terms, self.nvars = terms, nvars
+
+    def _lift(self, x) -> Poly:
+        if isinstance(x, OraclePoly):
+            return x.terms
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"not an exact scalar: {x!r}")
+        return {(0,) * self.nvars: x} if x else {}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        _padd_inplace(out, self._lift(other))
+        return OraclePoly(out, self.nvars)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return OraclePoly(pscale(self.terms, -1), self.nvars)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        return OraclePoly(pmul(self.terms, self._lift(other)), self.nvars)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return self * Fraction(1, scalar)  # a float divisor raises TypeError
+
+    def __pow__(self, k: int):
+        out = OraclePoly(self._lift(1), self.nvars)
+        for _ in range(k):
+            out = out * self
+        return out
+
+
 class WishartPolyOracle:
     """Exact expectations for Wishart_p(n, L L') trace polynomials."""
 
@@ -165,6 +216,10 @@ class WishartPolyOracle:
 
     def tr_w_k(self, k: int) -> Poly:
         return mat_trace(self.w_power(k))
+
+    def poly(self, terms: Poly) -> OraclePoly:
+        """``terms`` wrapped for the estimators' kernels."""
+        return OraclePoly(terms, self.nvars)
 
     def tr_awkbwm(self, a, b, k: int, m: int) -> Poly:
         awk = mat_mul_const(a, self.w_power(k))

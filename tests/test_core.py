@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from eddr.core import (
-    BLOCK_ROWS,
     PI1,
     PI2,
     Dims,
@@ -284,8 +283,8 @@ class TestDualGram:
         assert w.tobytes() == want_w.tobytes()
 
     @pytest.mark.parametrize("helper", [False, True])
-    @pytest.mark.parametrize("n", [4, 5, 200, 2 * BLOCK_ROWS])
-    def test_small_designs_keep_the_three_product_split(self, rng, n, helper):
+    @pytest.mark.parametrize("n", [4, 5, 200, 256, 300, 398, 512, 800])
+    def test_three_product_split(self, rng, n, helper):
         c, d = rng.standard_normal((n, 300)), rng.standard_normal(300)
         h = n // 2
         with one_blas_thread(helper):

@@ -209,6 +209,30 @@ class TestExactUnbiasedness:
             e_a4 = (b1 * e_t4 + b2 * e_t3t1 + b3 * e_t2sq + b4 * e_t1sqt2 + b5 * e_t1_4) / p
             assert e_a4 == a_true[4]
 
+    @pytest.mark.parametrize("n1, n2", [(5, 4), (6, 6)])
+    def test_delta0_delta1_exactly_unbiased(self, oracle, n1, n2):
+        # d ~ N(delta, kappa Sigma) is independent of S, so each q_k may be
+        # replaced by E[q_k | S] = (delta' W^k delta + kappa tr(Sigma W^k)) / n^k,
+        # with W = n S ~ Wishart(n, Sigma); the kernels then run on the
+        # oracle's polynomials unchanged
+        n1, n2, p = Fraction(n1), Fraction(n2), Fraction(2)
+        n = n1 + n2 - 2
+        kappa = (n1 + n2) / (n1 * n2)
+        delta = [1, 3]
+        sigma = oracle.sigma()
+        outer = [[di * dj for dj in delta] for di in delta]
+        poly = lambda a, k: oracle.poly(oracle.tr_aw_k(a, k))
+        q0 = sum(di * di for di in delta) + kappa * (sigma[0][0] + sigma[1][1])
+        q1 = (poly(outer, 1) + kappa * poly(sigma, 1)) / n
+        t1 = oracle.poly(oracle.tr_w_k(1)) / n
+        t2 = oracle.poly(oracle.tr_w_k(2)) / n**2
+        d0 = delta0_from_stats(q0, a1_from_traces(t1, p), n1, n2, p)
+        d1 = delta1_from_stats(q1, a2_from_traces(t1, t2, n, p), n1, n2, p)
+        assert oracle.expect(d0.terms, int(n)) == sum(di * di for di in delta)
+        assert oracle.expect(d1.terms, int(n)) == sum(
+            delta[i] * sigma[i][j] * delta[j] for i in range(2) for j in range(2)
+        )
+
     def test_kernels_exact_under_fractions(self):
         # the scalar kernels stay in rational arithmetic end to end
         n, p = Fraction(8), Fraction(3)

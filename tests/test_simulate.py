@@ -1,6 +1,7 @@
 """Simulation harness: design construction, trials, determinism, aggregates."""
 
 import contextlib
+import json
 import math
 import os
 import pickle
@@ -726,8 +727,11 @@ class TestConfigValidation:
             m1_config(**{name: value})
 
     def test_numpy_integer_counts_stored_as_int(self):
-        cfg = m1_config(reps=np.int64(3), seed=np.uint32(2), bandwidth=np.int8(1))
-        assert all(type(getattr(cfg, k)) is int for k in ("reps", "seed", "bandwidth"))
+        cfg = m1_config(reps=np.int64(3), seed=np.uint32(2), bandwidth=np.int8(1),
+                        workers=np.int16(1), p=np.int64(8), n1=np.int32(4), n2=np.uint8(4))
+        names = ("reps", "seed", "bandwidth", "workers", "p", "n1", "n2")
+        assert all(type(getattr(cfg, k)) is int for k in names)
+        json.dumps({k: getattr(cfg, k) for k in names})  # a sidecar takes them as they are
 
     @pytest.mark.parametrize("request_", [CutoffRequest.m2_normal, CutoffRequest.m2_logit])
     @pytest.mark.parametrize("knob, message", [

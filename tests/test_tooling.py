@@ -86,7 +86,7 @@ def test_trace_wrappers_install_and_restore(perfbench_modules, monkeypatch):
 def test_traced_chunk_with_the_helper_closes(perfbench_modules, monkeypatch):
     # the tracer keeps one span stack for all threads: a task that the helper
     # takes must call none of the names perfbench wraps, or the spans of a
-    # chunk at N = 288 > 2 * BLOCK_ROWS would not nest
+    # chunk at N = 288 would not nest
     sims, tracing, _ = perfbench_modules
     monkeypatch.setattr(eddr.simulate, "cores", lambda: 2)
     helpers = []

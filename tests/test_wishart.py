@@ -160,6 +160,16 @@ class TestInvariances:
 
 
 class TestMomentQuery:
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3), "3", 0, -1],
+                             ids=["2.5", "3.0", "float64", "str", "0", "-1"])
+    def test_degrees_of_freedom_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="^degrees of freedom must be a positive integer"):
+            MomentQuery(n=n, sigma=np.eye(2), a=np.eye(2), b=np.eye(2))
+
+    def test_numpy_integer_degrees_of_freedom_stored_as_int(self):
+        q = MomentQuery(n=np.int64(3), sigma=np.eye(2), a=np.eye(2), b=np.eye(2))
+        assert type(q.n) is int and q.n == 3
+
     @pytest.mark.parametrize("name", ["sigma", "a", "b"])
     def test_each_matrix_is_checked_once_by_name(self, name):
         # one tolerance for all three, and the message names the culprit
@@ -327,6 +337,6 @@ class TestSampler:
 
 class TestMcSuiteSmall:
     def test_small_mc_suite_passes(self):
-        rows = mc_moment_suite(p=2, n=6, draws=60000, seed=7, se_multiple=6.0)
+        rows = mc_moment_suite(p=2, n=6, draws=60000, seed=7)
         for row in rows:
             assert row.passed, row
