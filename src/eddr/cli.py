@@ -25,6 +25,7 @@ import os
 import platform
 import sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .calibration import (
     calibrate,
 )
 # classify is not called here: perfbench's traced run wraps eddr.cli.classify by name
-from .core import PI1, PI2, classify, discriminant_score, pooled_summary  # noqa: F401
+from .core import TwoSampleSummary, _label, classify, discriminant_score, pooled_summary  # noqa: F401
 from .dataio import format_table_value, read_matrix_csv, write_text_atomic
 from .error_model import limit_values
 from .estimators import a1_from_traces, estimate_all
@@ -67,14 +68,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-#: Allowed values of the flags and ``simulate`` config keys that take a choice.
-_CHOICES = {
-    "method": tuple(v.value for v in CutoffVariant),
-    "logit_variance": LOGIT_VARIANCE_CONVENTIONS,
-    "anchor": M2_ANCHORS,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
@@ -82,7 +75,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_training(args) -> tuple:
+def _load_training(args) -> TwoSampleSummary:
     x1 = read_matrix_csv(args.train1, skip_header=args.skip_header)
     x2 = read_matrix_csv(args.train2, skip_header=args.skip_header)
     return pooled_summary(x1, x2)
@@ -199,10 +192,9 @@ def cmd_classify(args) -> int:
             raise DimensionError(
                 f"query has {query.shape[1]} columns, training has {summary.p}"
             )
-        threshold = 2.0 * c  # core.classify's rule: group 1 iff the score exceeds 2c
         for row in query:
             score = discriminant_score(row, summary)
-            lines.append(f"{PI1 if score > threshold else PI2},{score!r}")
+            lines.append(f"{_label(score, c)},{score!r}")
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         write_text_atomic(args.out, text)
@@ -233,36 +225,52 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-#: Each ``simulate`` setting, one per flag and config key: its type and its
-#: default, None where it has none.  The manifest records the M2 knobs'
-#: values, also for m1.
+class _Setting(NamedTuple):
+    kind: type
+    default: object = None  # None where the setting has none
+    choices: tuple | None = None
+    help: str | None = None
+
+
+#: Each ``simulate`` setting, one per flag and config key, in the order of
+#: its flags in ``--help``.  The manifest records the M2 knobs' values, also
+#: for m1.
 _SIM_KEYS = {
-    "n_grid": (str, None), "p_grid": (str, None), "n1": (int, None),
-    "n2": (int, None), "rho": (float, 0.0), "bandwidth": (int, SimConfig.bandwidth),
-    "reps": (int, 20000), "seed": (int, None), "method": (str, None),
-    "alpha": (float, None), "eu": (float, None), "beta": (float, None),
-    "workers": (int, None), "logit_variance": (str, DEFAULT_LOGIT_VARIANCE),
-    "anchor": (str, DEFAULT_M2_ANCHOR), "out": (str, "simulation"),
+    "n_grid": _Setting(str, help="comma list of total sample sizes (split evenly)"),
+    "p_grid": _Setting(str, help="comma list of dimensions"),
+    "n1": _Setting(int), "n2": _Setting(int),
+    "rho": _Setting(float, 0.0), "bandwidth": _Setting(int, SimConfig.bandwidth),
+    "reps": _Setting(int, 20000), "seed": _Setting(int),
+    "workers": _Setting(int, help="process count (default: EDDR_WORKERS env var or 1)"),
+    "out": _Setting(str, "simulation", help="output path prefix (default 'simulation')"),
+    "method": _Setting(str, choices=tuple(v.value for v in CutoffVariant)),
+    "alpha": _Setting(float, help="target expected error (m1)"),
+    "eu": _Setting(float, help="upper bound on the conditional error (m2)"),
+    "beta": _Setting(float, help="1 - confidence level (m2)"),
+    "logit_variance": _Setting(str, DEFAULT_LOGIT_VARIANCE, LOGIT_VARIANCE_CONVENTIONS),
+    "anchor": _Setting(str, DEFAULT_M2_ANCHOR, M2_ANCHORS),
 }
+#: The settings that are also flags of calibrate and classify.
+_METHOD_KEYS = ("method", "alpha", "eu", "beta", "logit_variance", "anchor")
 
 
 def _resolve_sim_settings(args) -> dict:
     """The defaults, overridden by the config file, overridden by the flags."""
-    settings = {key: default for key, (_, default) in _SIM_KEYS.items() if default is not None}
+    settings = {key: row.default for key, row in _SIM_KEYS.items() if row.default is not None}
     if args.config:
         raw = _parse_config_file(args.config)
         for key, value in raw.items():
             if key not in _SIM_KEYS:
                 raise DataFormatError(f"{args.config}: unknown key {key!r}")
-            kind = _SIM_KEYS[key][0]
+            row = _SIM_KEYS[key]
             try:
-                settings[key] = kind(value)
+                settings[key] = row.kind(value)
             except ValueError:
                 raise UsageError(f"{args.config}: {key} must be of type "
-                                 f"{kind.__name__}, got {value!r}") from None
-            if key in _CHOICES and settings[key] not in _CHOICES[key]:
+                                 f"{row.kind.__name__}, got {value!r}") from None
+            if row.choices and settings[key] not in row.choices:
                 raise UsageError(
-                    f"{args.config}: {key} must be one of {', '.join(_CHOICES[key])}, "
+                    f"{args.config}: {key} must be one of {', '.join(row.choices)}, "
                     f"got {value!r}"
                 )
     for key in _SIM_KEYS:
@@ -429,13 +437,12 @@ def _add_io_flags(sub):
                      help="treat the first row of every CSV as a header")
 
 
-def _add_method_flags(sub, required=False):
-    sub.add_argument("--method", choices=_CHOICES["method"], required=required)
-    sub.add_argument("--alpha", type=float, help="target expected error (m1)")
-    sub.add_argument("--eu", type=float, help="upper bound on the conditional error (m2)")
-    sub.add_argument("--beta", type=float, help="1 - confidence level (m2)")
-    sub.add_argument("--logit-variance", choices=_CHOICES["logit_variance"])
-    sub.add_argument("--anchor", choices=_CHOICES["anchor"])
+def _add_setting_flags(sub, keys, required=()):
+    """One flag per setting row; argparse defaults stay None, so a flag left out is absent."""
+    for key in keys:
+        row = _SIM_KEYS[key]
+        sub.add_argument("--" + key.replace("_", "-"), type=row.kind, choices=row.choices,
+                         required=key in required, help=row.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal = subs.add_parser("calibrate", help="compute a cut-off")
     cal.add_argument("train1")
     cal.add_argument("train2")
-    _add_method_flags(cal, required=True)
+    _add_setting_flags(cal, _METHOD_KEYS, required=("method",))
     _add_io_flags(cal)
     cal.set_defaults(func=cmd_calibrate)
 
@@ -464,24 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("query")
     cls.add_argument("--cutoff", type=float, help="half-scale cut-off; bypasses calibration")
     cls.add_argument("--out", help="write CSV here instead of stdout")
-    _add_method_flags(cls)
+    _add_setting_flags(cls, _METHOD_KEYS)
     _add_io_flags(cls)
     cls.set_defaults(func=cmd_classify)
 
     sim = subs.add_parser("simulate", help="Monte Carlo study over an (N, p) grid")
     sim.add_argument("--config", help="flat key = value settings file; flags override")
-    sim.add_argument("--n-grid", dest="n_grid", help="comma list of total sample sizes (split evenly)")
-    sim.add_argument("--p-grid", dest="p_grid", help="comma list of dimensions")
-    sim.add_argument("--n1", type=int)
-    sim.add_argument("--n2", type=int)
-    sim.add_argument("--rho", type=float)
-    sim.add_argument("--bandwidth", type=int)
-    sim.add_argument("--reps", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--workers", type=int,
-                     help="process count (default: EDDR_WORKERS env var or 1)")
-    sim.add_argument("--out", help="output path prefix (default 'simulation')")
-    _add_method_flags(sim)
+    _add_setting_flags(sim, _SIM_KEYS)
     sim.set_defaults(func=cmd_simulate)
 
     ver = subs.add_parser("verify-moments", help="check the Wishart moment formulas")

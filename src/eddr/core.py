@@ -350,7 +350,12 @@ def classify(x, summary: TwoSampleSummary, c: float) -> int:
     """
     if not math.isfinite(c):
         raise ValueError("cut-off must be finite")
-    return PI1 if discriminant_score(x, summary) > 2.0 * c else PI2
+    return _label(discriminant_score(x, summary), c)
+
+
+def _label(score: float, c: float) -> int:
+    """The group of a point with discriminant score ``score`` at half-scale cut-off ``c``."""
+    return PI1 if score > 2.0 * c else PI2
 
 
 def std_normal_cdf(x: float) -> float:

@@ -84,13 +84,13 @@ def _wishart_statistics(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
     aw3, bw3 = a @ w3, b @ w3
     tr = lambda x: np.trace(x, axis1=-2, axis2=-1)
     return {
-        "i": tr(aw) * tr(bw),
-        "ii": np.einsum("bij,bji->b", aw, bw),
-        "iii": tr(aw3),
-        "iv": tr(aw2) * tr(bw2),
-        "v": np.einsum("bij,bji->b", aw2, bw2),
-        "vi": tr(aw3) * tr(bw3),
-        "vii": np.einsum("bij,bji->b", aw3, bw3),
+        "moment_i": tr(aw) * tr(bw),
+        "moment_ii": np.einsum("bij,bji->b", aw, bw),
+        "moment_iii": tr(aw3),
+        "moment_iv": tr(aw2) * tr(bw2),
+        "moment_v": np.einsum("bij,bji->b", aw2, bw2),
+        "moment_vi": tr(aw3) * tr(bw3),
+        "moment_vii": np.einsum("bij,bji->b", aw3, bw3),
     }
 
 
@@ -98,15 +98,12 @@ def mc_moment_suite(p: int, n: int, draws: int, seed: int) -> list[VerifyRow]:
     """All seven Wishart moments and both quadratic-form moments vs Monte Carlo."""
     rng = np.random.default_rng(seed)
     q = _random_query(p, n, rng)
-    exact = all_moments(q)
+    targets = {f"moment_{k}": v for k, v in all_moments(q).items()}
+    targets["quad_mean"] = quad_moment_mean(q.a)
+    targets["quad_product"] = quad_moment_product(q.a, q.b)
     chol_l = cholesky(q.sigma)
-    names = list(exact)
-    sums = {k: 0.0 for k in names}
-    sq = {k: 0.0 for k in names}
-    quad_names = ("quad_mean", "quad_product")
-    for k in quad_names:
-        sums[k] = 0.0
-        sq[k] = 0.0
+    sums = dict.fromkeys(targets, 0.0)
+    sq = dict.fromkeys(targets, 0.0)
     done = 0
     while done < draws:
         m = min(_BATCH, draws - done)
@@ -121,21 +118,17 @@ def mc_moment_suite(p: int, n: int, draws: int, seed: int) -> list[VerifyRow]:
             sums[k] += float(vals.sum())
             sq[k] += float((vals * vals).sum())
         done += m
-    targets = dict(exact)
-    targets["quad_mean"] = quad_moment_mean(q.a)
-    targets["quad_product"] = quad_moment_product(q.a, q.b)
     rows = []
-    for k in names + list(quad_names):
+    for k, target in targets.items():
         mean = sums[k] / draws
         var = max(0.0, (sq[k] - sums[k] ** 2 / draws) / (draws - 1))
         se = math.sqrt(var / draws)
-        z = abs(mean - targets[k]) / se if se > 0 else math.inf
-        label = k if k.startswith("quad") else f"moment_{k}"
+        z = abs(mean - target) / se if se > 0 else math.inf
         rows.append(
             VerifyRow(
-                name=label,
+                name=k,
                 passed=z <= SE_MULTIPLE,
-                detail=f"mc={mean:.6g} exact={targets[k]:.6g} |z|={z:.2f} (draws={draws})",
+                detail=f"mc={mean:.6g} exact={target:.6g} |z|={z:.2f} (draws={draws})",
             )
         )
     return rows

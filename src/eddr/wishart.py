@@ -75,6 +75,17 @@ def trace_invariants(sigma, a, b) -> TraceInvariants:
     return TraceInvariants(c1=c1, c2=c2, c3=c3, c4=c4, sa=sa, sb=sb, m=m)
 
 
+def _degrees_of_freedom(n) -> int:
+    """``n`` as a Python ``int``; ValueError unless it is a positive integer."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {n!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class MomentQuery:
     """Degrees of freedom, scale matrix, and the two symmetric weights.
@@ -95,13 +106,7 @@ class MomentQuery:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            n = 0
-        if n < 1:
-            raise ValueError(f"degrees of freedom must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _degrees_of_freedom(self.n))
         p = sigma.shape[0]
         for name, mat in (("sigma", sigma), ("a", a), ("b", b)):
             if mat.shape != (p, p):
@@ -397,10 +402,9 @@ def sample_wishart(n: int, sigma, rng: np.random.Generator) -> np.ndarray:
 
     Uses the triangular (chi / normal) construction when n >= p, and the
     sum of n Gaussian outer products otherwise; both consume only the
-    supplied generator.
+    supplied generator.  ``n`` must be a positive integer.
     """
-    if n < 1:
-        raise ValueError("degrees of freedom must be >= 1")
+    n = _degrees_of_freedom(n)
     chol_l = cholesky(sigma)
     return _sample_wishart_batch(n, chol_l, rng, 1)[0]
 

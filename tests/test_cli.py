@@ -821,6 +821,20 @@ class TestParsing:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("command", ["estimate", "calibrate", "classify", "simulate",
+                                         "verify-moments"])
+    def test_every_subcommand_renders_its_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        method_keys = ["method", "alpha", "eu", "beta", "logit_variance", "anchor"]
+        keys = {"calibrate": method_keys, "classify": method_keys, "simulate": list(_SIM_KEYS)}
+        for key in keys.get(command, []):
+            choices = _SIM_KEYS[key].choices
+            shown = "{" + ",".join(choices) + "}" if choices else key.upper()
+            assert f"\n  --{key.replace('_', '-')} {shown}" in out
+
 
 class TestScaledData:
     """Rescaled training data: the law is scale-free, overflow is a typed error."""

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from eddr.error_model import (
 from eddr.estimators import Estimates
 from eddr.exceptions import CalibrationInfeasibleError
 from eddr.wishart import _sample_wishart_batch, var_delta1
+
+from oracles import WishartPolyOracle
 
 PHI_M125 = 0.105649773666855257688772764026
 
@@ -198,6 +201,47 @@ class TestThetaSources:
         delta = [float(mu @ (lam**k * mu)) for k in range(4)]
         theta = estimator_covariance(Estimates(*a, *delta), dims)
         assert abs(theta[0, 1] - emp) < 5 * se
+
+    @pytest.mark.parametrize("n1, n2", [(5, 4), (6, 6), (20, 20)])
+    def test_estimator_entries_against_exact_moments(self, n1, n2):
+        # u0_hat = -(q0 - kappa p a1_hat)/2 and v0_hat = q1, with d ~ N(delta,
+        # kappa Sigma) independent of W = n S ~ Wishart(n, Sigma): given S,
+        # Var(q1) = 2 kappa^2 tr(Sigma S Sigma S) + 4 kappa delta' S Sigma S delta,
+        # Cov(q0, q1) = 2 kappa^2 tr(Sigma^2 S) + 4 kappa delta' Sigma S delta,
+        # Var(q0) = 2 kappa^2 tr(Sigma^2) + 4 kappa delta' Sigma delta, and
+        # E[q1 | S] = tr(A W)/n with A = delta delta' + kappa Sigma.  The
+        # oracle takes the exact expectations over W.
+        oracle = WishartPolyOracle([[1, 0], [1, 2]])
+        sigma, delta, p = oracle.sigma(), [1, 3], 2
+        n = n1 + n2 - 2
+        kappa = Fraction(n1 + n2, n1 * n2)
+        mul = lambda a, b: [[sum(a[i][k] * b[k][j] for k in range(p)) for j in range(p)]
+                            for i in range(p)]
+        outer = [[di * dj for dj in delta] for di in delta]
+        powers = [[[int(i == j) for j in range(p)] for i in range(p)]]
+        for _ in range(4):
+            powers.append(mul(powers[-1], sigma))
+        a = [Fraction(powers[k][0][0] + powers[k][1][1], p) for k in (1, 2, 3, 4)]
+        d = [sum(delta[i] * powers[k][i][j] * delta[j] for i in range(p) for j in range(p))
+             for k in range(4)]
+        expect = lambda poly: oracle.expect(poly.terms, n)
+        tr = lambda m, k=1: oracle.poly(oracle.tr_aw_k(m, k))
+        both = lambda m, b: oracle.poly(oracle.tr_awkbwm(m, b, 1, 1))
+        cov = lambda x, y: expect(x * y) - expect(x) * expect(y)
+        tr_w, tr_aw = tr(powers[0]), tr(outer) + kappa * tr(sigma)
+        var_v = (expect(2 * kappa**2 * both(sigma, sigma) + 4 * kappa * both(outer, sigma)) / n**2
+                 + cov(tr_aw, tr_aw) / n**2)
+        var_q0 = 2 * kappa**2 * p * a[1] + 4 * kappa * d[1]
+        var_u = (var_q0 + kappa**2 * cov(tr_w, tr_w) / n**2) / 4
+        cov_q0_q1 = expect(2 * kappa**2 * tr(powers[2]) + 4 * kappa * tr(mul(outer, sigma))) / n
+        cross = -(cov_q0_q1 - kappa * cov(tr_w, tr_aw) / n**2) / 2
+        theta = estimator_covariance(Estimates(*map(float, a + d)), Dims(n1, n2, p))
+        assert theta[1, 1] == pytest.approx(float(var_v), rel=1e-12)
+        # the first-order entries leave out a1_hat's own fluctuation
+        assert float(var_u) == pytest.approx(theta[0, 0] + kappa**2 * p * a[1] / (2 * n),
+                                             rel=1e-12)
+        assert float(cross) == pytest.approx(theta[0, 1] + (kappa * d[2] + kappa**2 * p * a[2]) / n,
+                                             rel=1e-12)
 
     def test_estimator_variance_dominates(self):
         # the plug-in pair fluctuates more than the conditional statistics

@@ -159,9 +159,14 @@ class TestInvariances:
             assert rotated[name] == pytest.approx(base[name], rel=1e-8)
 
 
+#: Degrees of freedom that MomentQuery and sample_wishart both refuse.
+not_positive_integers = pytest.mark.parametrize(
+    "n", [2.5, 3.0, np.float64(3), "3", 0, -1],
+    ids=["2.5", "3.0", "float64", "str", "0", "-1"])
+
+
 class TestMomentQuery:
-    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3), "3", 0, -1],
-                             ids=["2.5", "3.0", "float64", "str", "0", "-1"])
+    @not_positive_integers
     def test_degrees_of_freedom_must_be_a_positive_integer(self, n):
         with pytest.raises(ValueError, match="^degrees of freedom must be a positive integer"):
             MomentQuery(n=n, sigma=np.eye(2), a=np.eye(2), b=np.eye(2))
@@ -333,6 +338,15 @@ class TestSampler:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             sample_wishart(0, np.eye(2), np.random.default_rng(0))
+
+    @not_positive_integers
+    def test_degrees_of_freedom_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="^degrees of freedom must be a positive integer"):
+            sample_wishart(n, np.eye(2), np.random.default_rng(0))
+
+    def test_numpy_integer_degrees_of_freedom_draws(self):
+        w = sample_wishart(np.int64(3), np.eye(2), np.random.default_rng(0))
+        assert w.shape == (2, 2) and np.isfinite(w).all()
 
 
 class TestMcSuiteSmall:
