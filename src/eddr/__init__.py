@@ -43,6 +43,7 @@ from .error_model import (
     h_v,
     limit_values,
     statistic_covariance,
+    var_delta1,
 )
 from .estimators import (
     Estimates,
@@ -77,5 +78,4 @@ from .wishart import (
     sample_wishart,
     var_a1,
     var_a2,
-    var_delta1,
 )

@@ -61,7 +61,7 @@ from .simulate import (
     run_simulation,
 )
 from .threads import cores, one_blas_thread, openblas
-from .verify import mc_moment_suite, scalar_reduction_suite
+from .wishart import mc_moment_suite, scalar_reduction_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1

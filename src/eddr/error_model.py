@@ -13,7 +13,8 @@ together, (U, V) concentrate at
 so the expected error converges to ``Phi((u0 + c)/sqrt(v0))``.  This
 module assembles the plug-in versions of (u0, v0), the 2x2 covariance of
 (U, V) built from the h_u / h_v / h_uv moment functions, and the
-delta-method normal law of the conditional error.
+delta-method normal law of the conditional error.  Every formula for an
+entry of either ``theta`` matrix below is defined in this module.
 
 A note on scaling: ``theta`` below is a *finite-sample* covariance — its
 entries already carry the 1/n decay.  Consequently ``tau2 = grad' theta
@@ -48,7 +49,6 @@ import numpy as np
 from .core import Dims, std_normal_cdf, std_normal_pdf
 from .estimators import Estimates
 from .exceptions import CalibrationInfeasibleError
-from .wishart import _quad_form_cov, var_delta1
 
 @dataclass(frozen=True)
 class LimitParams:
@@ -96,6 +96,36 @@ def expected_error(lp: LimitParams, c: float) -> float:
     return std_normal_cdf((lp.u0 + c) / math.sqrt(lp.v0))
 
 
+def var_delta1(dims: Dims, delta1: float, delta3: float, a2: float, a4: float) -> float:
+    """Variance of the known-spectrum estimator of delta' Sigma delta."""
+    n1, n2, p = dims.n1, dims.n2, dims.p
+    n_tot, n = dims.n_total, dims.n
+    return (
+        2.0 * a2**2 * n_tot**2 * p**2 / (n * n1**2 * n2**2)
+        + 4.0 * a2 * delta1 * n_tot * p / (n * n1 * n2)
+        + 2.0 * a4 * n_tot**3 * p / (n * n1**2 * n2**2)
+        + 2.0 * delta1**2 / n
+        + 4.0 * delta3 * n_tot**2 / (n * n1 * n2)
+    )
+
+
+def _quad_form_cov(dims: Dims, delta: float, a: float) -> float:
+    """Covariance 4 c delta + 2 c^2 p a of two quadratic forms in the mean difference.
+
+    For the mean difference d ~ N(delta, c Sigma) with c = N/(n1 n2),
+    independent of S with E[S] = Sigma, the quadratic forms d'd and d'Sd
+    have conditional covariance 4 c delta' Sigma S delta +
+    2 c^2 tr(Sigma S Sigma); averaged over S, with E[tr(Sigma S Sigma)] =
+    tr(Sigma^3), that is 4 c delta_2 + 2 c^2 p a3.  In general the forms
+    d' Sigma^i d and d' Sigma^j d have covariance 4 c delta_{i+j+1} +
+    2 c^2 p a_{i+j+2}: with (delta_1, a2) the variance of d'd, with
+    (delta_3, a4) that of d' Sigma d.
+    """
+    n1, n2, p = dims.n1, dims.n2, dims.p
+    n_tot = dims.n_total
+    return 4.0 * n_tot * delta / (n1 * n2) + 2.0 * n_tot**2 * p * a / (n1 * n2) ** 2
+
+
 def h_u(delta1: float, a2: float, dims: Dims) -> float:
     """Variance of the centred U statistic."""
     n1, n2, p = dims.n1, dims.n2, dims.p
@@ -125,7 +155,7 @@ def estimator_covariance(est: Estimates, dims: Dims) -> np.ndarray:
     """Covariance of the plug-in location/scale pair (u0_hat, v0_hat), to first order.
 
     Only Var[v0_hat] is exact: v0_hat equals q1, whose variance is
-    :func:`~eddr.wishart.var_delta1`.  The other two entries treat
+    :func:`var_delta1`.  The other two entries treat
     u0_hat = -(q0 - kappa p a1_hat)/2, with kappa = N/(n1 n2), as if a1_hat
     were the constant a1.  Var[u0_hat] is a quarter of Var[q0] and leaves
     out kappa^2 p a2 / (2n); the cross term is minus half Cov(q0, q1) and

@@ -24,8 +24,12 @@ reduction (see the inline notes); the (vii) constant-in-sigma term is
 additionally pinned by the p >= 2 symbolic oracle.
 
 Also here: the exact second-moment formulas used as Monte Carlo reference
-bands for the spectral estimators, Gaussian quadratic-form moments, and a
-Wishart sampler with an explicit random stream.
+bands for the spectral estimators, Gaussian quadratic-form moments, a
+Wishart sampler with an explicit random stream, and the two suites of
+``eddr verify-moments``: :func:`scalar_reduction_suite` runs that scalar
+reduction in integer arithmetic, and :func:`mc_moment_suite` requires
+every closed form to sit within ``SE_MULTIPLE`` Monte Carlo standard
+errors of the mean of a sample.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dims, _check_finite, _check_symmetric, cholesky
+from .core import _check_finite, _check_symmetric, cholesky
 from .exceptions import DimensionError
 
 
@@ -59,6 +63,10 @@ class TraceInvariants(NamedTuple):
     m: dict
 
 
+#: The (i, j) keys of ``TraceInvariants.m`` that the moment kernels read.
+_INVARIANT_PAIRS = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1))
+
+
 def trace_invariants(sigma, a, b) -> TraceInvariants:
     sigma = np.asarray(sigma, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -69,9 +77,7 @@ def trace_invariants(sigma, a, b) -> TraceInvariants:
     c1, c2, c3, c4 = (float(np.trace(powers[i])) for i in range(1, 5))
     sa = tuple(float(np.vdot(powers[i], a)) for i in range(6))  # sa[i] = tr(sigma^i a)
     sb = tuple(float(np.vdot(powers[i], b)) for i in range(6))
-    m = {}
-    for i, j in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)]:
-        m[(i, j)] = float(np.trace(powers[i] @ a @ powers[j] @ b))
+    m = {(i, j): float(np.trace(powers[i] @ a @ powers[j] @ b)) for i, j in _INVARIANT_PAIRS}
     return TraceInvariants(c1=c1, c2=c2, c3=c3, c4=c4, sa=sa, sb=sb, m=m)
 
 
@@ -341,8 +347,11 @@ def quad_moment_mean(a) -> float:
 
 
 def quad_moment_product(a, b) -> float:
-    """E[x'ax x'bx] = 2 tr(ab) + tr(a) tr(b) for x standard normal."""
+    """E[x'ax x'bx] = 2 tr(ab) + tr(a) tr(b) for x standard normal and symmetric a, b."""
     a, b = _check_square_pair(a, b)
+    for name, mat in (("a", a), ("b", b)):
+        _check_finite(mat, name)
+        _check_symmetric(mat, name)
     return float(2.0 * np.vdot(a, b) + np.trace(a) * np.trace(b))
 
 
@@ -361,36 +370,6 @@ def var_a2(n: int, p: int, a2: float, a4: float) -> float:
         8.0 * (n + 2) * (n + 3) * (n - 1) ** 2 * a4 / (p * n**5)
         + 4.0 * (n + 2) * (n - 1) * (a2**2 - a4 / p) / n**4
     )
-
-
-def var_delta1(dims: Dims, delta1: float, delta3: float, a2: float, a4: float) -> float:
-    """Variance of the known-spectrum estimator of delta' Sigma delta."""
-    n1, n2, p = dims.n1, dims.n2, dims.p
-    n_tot, n = dims.n_total, dims.n
-    return (
-        2.0 * a2**2 * n_tot**2 * p**2 / (n * n1**2 * n2**2)
-        + 4.0 * a2 * delta1 * n_tot * p / (n * n1 * n2)
-        + 2.0 * a4 * n_tot**3 * p / (n * n1**2 * n2**2)
-        + 2.0 * delta1**2 / n
-        + 4.0 * delta3 * n_tot**2 / (n * n1 * n2)
-    )
-
-
-def _quad_form_cov(dims: Dims, delta: float, a: float) -> float:
-    """Covariance 4 c delta + 2 c^2 p a of two quadratic forms in the mean difference.
-
-    For the mean difference d ~ N(delta, c Sigma) with c = N/(n1 n2),
-    independent of S with E[S] = Sigma, the quadratic forms d'd and d'Sd
-    have conditional covariance 4 c delta' Sigma S delta +
-    2 c^2 tr(Sigma S Sigma); averaged over S, with E[tr(Sigma S Sigma)] =
-    tr(Sigma^3), that is 4 c delta_2 + 2 c^2 p a3.  In general the forms
-    d' Sigma^i d and d' Sigma^j d have covariance 4 c delta_{i+j+1} +
-    2 c^2 p a_{i+j+2}: with (delta_1, a2) the variance of d'd, with
-    (delta_3, a4) that of d' Sigma d.
-    """
-    n1, n2, p = dims.n1, dims.n2, dims.p
-    n_tot = dims.n_total
-    return 4.0 * n_tot * delta / (n1 * n2) + 2.0 * n_tot**2 * p * a / (n1 * n2) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +404,117 @@ def _sample_wishart_batch(
     return np.einsum("bni,bnj->bij", y, y)
 
 
+# ---------------------------------------------------------------------------
+# self-checks (eddr verify-moments)
+# ---------------------------------------------------------------------------
+
+#: Draws per Wishart batch of the mc suite.
+_BATCH = 20_000
+
+#: Largest |mean - exact| of the mc suite, in Monte Carlo standard errors.
+SE_MULTIPLE = 5.0
+
+
+class VerifyRow(NamedTuple):
+    name: str
+    passed: bool
+    detail: str
+
+
+def _unit_invariants() -> TraceInvariants:
+    return TraceInvariants(c1=1, c2=1, c3=1, c4=1, sa=(1,) * 6, sb=(1,) * 6,
+                           m=dict.fromkeys(_INVARIANT_PAIRS, 1))
+
+
+def scalar_reduction_suite(n_max: int) -> list[VerifyRow]:
+    """Integer-exact p = 1 reduction of all seven moments for n = 1..n_max."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    inv = _unit_invariants()
+    rows = []
+    for name, kernel in _MOMENT_KERNELS.items():
+        power = MOMENT_POWERS[name]
+        bad = [n for n in range(1, n_max + 1) if kernel(n, inv) != chi_square_moment(n, power)]
+        if bad:
+            detail = f"mismatch at n={bad} (chi-square power {power})"
+        else:
+            detail = f"equals chi-square moment of order {power} for n=1..{n_max}"
+        rows.append(VerifyRow(name=f"moment_{name}", passed=not bad, detail=detail))
+    return rows
+
+
+def _random_query(p: int, n: int, rng: np.random.Generator) -> MomentQuery:
+    r = rng.standard_normal((p, p))
+    sigma = r @ r.T / p + np.eye(p)
+    a = rng.standard_normal((p, p))
+    a = (a + a.T) / 2.0
+    b = rng.standard_normal((p, p))
+    b = (b + b.T) / 2.0
+    return MomentQuery(n=n, sigma=sigma, a=a, b=b)
+
+
+def _wishart_statistics(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
+    w2 = w @ w
+    w3 = w2 @ w
+    aw, bw = a @ w, b @ w
+    aw2, bw2 = a @ w2, b @ w2
+    aw3, bw3 = a @ w3, b @ w3
+    tr = lambda x: np.trace(x, axis1=-2, axis2=-1)
+    return {
+        "moment_i": tr(aw) * tr(bw),
+        "moment_ii": np.einsum("bij,bji->b", aw, bw),
+        "moment_iii": tr(aw3),
+        "moment_iv": tr(aw2) * tr(bw2),
+        "moment_v": np.einsum("bij,bji->b", aw2, bw2),
+        "moment_vi": tr(aw3) * tr(bw3),
+        "moment_vii": np.einsum("bij,bji->b", aw3, bw3),
+    }
+
+
+def mc_moment_suite(p: int, n: int, draws: int, seed: int) -> list[VerifyRow]:
+    """All seven Wishart moments and both quadratic-form moments vs Monte Carlo."""
+    if p < 1:
+        raise ValueError(f"p must be at least 1, got {p}")
+    if draws < 2:
+        raise ValueError(f"draws must be at least 2, got {draws}")
+    rng = np.random.default_rng(seed)
+    q = _random_query(p, n, rng)
+    targets = {f"moment_{k}": v for k, v in all_moments(q).items()}
+    targets["quad_mean"] = quad_moment_mean(q.a)
+    targets["quad_product"] = quad_moment_product(q.a, q.b)
+    chol_l = cholesky(q.sigma)
+    sums = dict.fromkeys(targets, 0.0)
+    sq = dict.fromkeys(targets, 0.0)
+    done = 0
+    while done < draws:
+        m = min(_BATCH, draws - done)
+        w = _sample_wishart_batch(q.n, chol_l, rng, m)
+        stats = _wishart_statistics(w, q.a, q.b)
+        x = rng.standard_normal((m, p))
+        qa = np.einsum("bi,ij,bj->b", x, q.a, x)
+        qb = np.einsum("bi,ij,bj->b", x, q.b, x)
+        stats["quad_mean"] = qa
+        stats["quad_product"] = qa * qb
+        for k, vals in stats.items():
+            sums[k] += float(vals.sum())
+            sq[k] += float((vals * vals).sum())
+        done += m
+    rows = []
+    for k, target in targets.items():
+        mean = sums[k] / draws
+        var = max(0.0, (sq[k] - sums[k] ** 2 / draws) / (draws - 1))
+        se = math.sqrt(var / draws)
+        z = abs(mean - target) / se if se > 0 else math.inf
+        rows.append(
+            VerifyRow(
+                name=k,
+                passed=z <= SE_MULTIPLE,
+                detail=f"mc={mean:.6g} exact={target:.6g} |z|={z:.2f} (draws={draws})",
+            )
+        )
+    return rows
+
+
 __all__ = [
     "MomentQuery",
     "TraceInvariants",
@@ -435,7 +525,10 @@ __all__ = [
     "quad_moment_product",
     "var_a1",
     "var_a2",
-    "var_delta1",
     "sample_wishart",
     "MOMENT_POWERS",
+    "SE_MULTIPLE",
+    "VerifyRow",
+    "scalar_reduction_suite",
+    "mc_moment_suite",
 ]

@@ -22,7 +22,6 @@ degree-6 moment formula exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 

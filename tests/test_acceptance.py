@@ -13,7 +13,6 @@ values are reproducible only when N is read as the *per-group* size
 import math
 
 import numpy as np
-import pytest
 
 from eddr.calibration import CutoffRequest, m1_cutoff
 from eddr.core import Dims, pooled_summary, std_normal_cdf, std_normal_quantile
@@ -37,10 +36,12 @@ from eddr.simulate import (
     make_population,
     run_simulation,
 )
-from eddr.verify import mc_moment_suite, scalar_reduction_suite, _unit_invariants
 from eddr.wishart import (
     _MOMENT_KERNELS,
+    _unit_invariants,
     chi_square_moment,
+    mc_moment_suite,
+    scalar_reduction_suite,
     var_a2,
 )
 

@@ -20,10 +20,11 @@ from eddr.error_model import (
     h_v,
     limit_values,
     statistic_covariance,
+    var_delta1,
 )
 from eddr.estimators import Estimates
 from eddr.exceptions import CalibrationInfeasibleError
-from eddr.wishart import _sample_wishart_batch, var_delta1
+from eddr.wishart import _sample_wishart_batch
 
 from oracles import WishartPolyOracle
 

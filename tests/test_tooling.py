@@ -5,10 +5,13 @@
 would break it, so one test installs both sets of wrappers and restores them.
 ``perfbench/cli_workload.py`` imports the estimator kernels by name, so the
 fixture imports it too.  Two guards bound the memory the simulation's set-up
-and trials allocate, as traced by ``tracemalloc``.
+and trials allocate, as traced by ``tracemalloc``.  One more scans the
+package and the tests for imports that nothing reads.
 """
 
+import ast
 import contextlib
+import glob
 import os
 import subprocess
 import sys
@@ -23,7 +26,8 @@ import eddr.simulate
 import eddr.threads
 from eddr.calibration import CutoffRequest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 @pytest.fixture
@@ -157,3 +161,40 @@ def test_trial_chunk_keeps_one_work_matrix():
     pop = eddr.simulate.make_population(cfg)
     peak = _peak_traced_bytes(eddr.simulate._run_chunk, cfg, pop, 0, cfg.reps)
     assert peak < 8e6
+
+
+def _unused_imports(path):
+    """Names bound by an import of ``path`` that it never reads and does not export."""
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source, path)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*" and name not in read and name not in exported:
+                unused.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}: {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    paths = [p for p in glob.glob(os.path.join(ROOT, "src", "eddr", "*.py"))
+             if os.path.basename(p) != "__init__.py"]
+    paths += glob.glob(os.path.join(ROOT, "tests", "*.py"))
+    assert paths
+    unused = [entry for path in sorted(paths) for entry in _unused_imports(path)]
+    assert unused == []

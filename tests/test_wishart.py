@@ -17,21 +17,20 @@ import pytest
 
 from eddr.core import Dims
 from eddr.exceptions import DimensionError
-from eddr.verify import mc_moment_suite, scalar_reduction_suite
+from eddr.error_model import _quad_form_cov, var_delta1
 from eddr.wishart import (
     _MOMENT_KERNELS,
-    MOMENT_POWERS,
     MomentQuery,
     all_moments,
-    _quad_form_cov,
     chi_square_moment,
+    mc_moment_suite,
     quad_moment_mean,
     quad_moment_product,
     sample_wishart,
+    scalar_reduction_suite,
     trace_invariants,
     var_a1,
     var_a2,
-    var_delta1,
 )
 
 from conftest import random_orthogonal, random_spd
@@ -129,6 +128,12 @@ class TestQuadraticForms:
 
         with pytest.raises(DimensionError):
             quad_moment_product(np.eye(3), np.eye(2))
+
+    def test_non_symmetric_weight_is_refused(self):
+        # x'ax = x1 x2 here, so E[(x'ax)^2] = 1, but 2 tr(aa) + (tr a)^2 = 2
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(DimensionError, match="^a is not symmetric"):
+            quad_moment_product(a, a)
 
 
 class TestInvariances:
@@ -278,7 +283,7 @@ class TestVarianceFormulas:
             var_delta1(dims, delta1, delta1, 1.0, 1.0), rel=0.10
         )
 
-    def test_cov_delta01_small_mc(self, rng):
+    def test_quad_form_cov_small_mc(self, rng):
         m, p, reps = 16, 8, 40000
         dims = Dims(m, m, p)
         mu = np.sqrt(5.0 / p) * np.ones(p)
@@ -354,3 +359,13 @@ class TestMcSuiteSmall:
         rows = mc_moment_suite(p=2, n=6, draws=60000, seed=7)
         for row in rows:
             assert row.passed, row
+
+
+@pytest.mark.parametrize("suite, kwargs, name", [
+    (scalar_reduction_suite, dict(n_max=0), "n_max"),
+    (mc_moment_suite, dict(p=0, n=10, draws=100, seed=1), "p"),
+    (mc_moment_suite, dict(p=3, n=10, draws=1, seed=1), "draws"),
+])
+def test_suite_that_would_check_nothing_is_refused(suite, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        suite(**kwargs)
